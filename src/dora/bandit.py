@@ -14,6 +14,7 @@ bandit through observation summaries for explore/greedy agents.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -169,26 +170,39 @@ def press_action(arm: int) -> str:
 # --- classical policies ---------------------------------------------------------
 
 
-class UcbPolicy:
+def _argmax(values: list[float]) -> int:
+    """Index of the largest value; ties go to the first, as with ``np.argmax``."""
+    return values.index(max(values))
+
+
+class _EmpiricalMeans:
+    """Per-arm pull counts and reward sums in plain lists.
+
+    The classical policies pick over a handful of arms at every step, where
+    list arithmetic beats numpy's per-call overhead; every float operation
+    matches the array formula it replaces, so pulls are unchanged.
+    """
+
+    def reset(self, num_arms: int, horizon: int | None = None) -> None:
+        self.counts = [0] * num_arms
+        self.sums = [0.0] * num_arms
+
+    def update(self, arm: int, reward: int) -> None:
+        self.counts[arm] += 1
+        self.sums[arm] += reward
+
+
+class UcbPolicy(_EmpiricalMeans):
     """Empirical mean plus a sqrt(c / n) bonus; one initial pull of every arm."""
 
     def __init__(self, bonus: float = 1.0) -> None:
         self.bonus = bonus
 
-    def reset(self, num_arms: int, horizon: int | None = None) -> None:
-        self.counts = np.zeros(num_arms)
-        self.sums = np.zeros(num_arms)
-
     def select(self, t: int, rng: np.random.Generator) -> int:
-        unpulled = np.flatnonzero(self.counts == 0)
-        if len(unpulled):
-            return int(unpulled[0])
-        scores = self.sums / self.counts + np.sqrt(self.bonus / self.counts)
-        return int(np.argmax(scores))
-
-    def update(self, arm: int, reward: int) -> None:
-        self.counts[arm] += 1
-        self.sums[arm] += reward
+        if 0 in self.counts:
+            return self.counts.index(0)
+        bonus = self.bonus
+        return _argmax([s / n + math.sqrt(bonus / n) for s, n in zip(self.sums, self.counts)])
 
 
 class ThompsonPolicy:
@@ -214,25 +228,16 @@ class ThompsonPolicy:
             self.beta[arm] += 1
 
 
-class GreedyPolicy:
+class GreedyPolicy(_EmpiricalMeans):
     """Pure argmax of empirical means after one initial pull of every arm."""
 
-    def reset(self, num_arms: int, horizon: int | None = None) -> None:
-        self.counts = np.zeros(num_arms)
-        self.sums = np.zeros(num_arms)
-
     def select(self, t: int, rng: np.random.Generator) -> int:
-        unpulled = np.flatnonzero(self.counts == 0)
-        if len(unpulled):
-            return int(unpulled[0])
-        return int(np.argmax(self.sums / self.counts))
-
-    def update(self, arm: int, reward: int) -> None:
-        self.counts[arm] += 1
-        self.sums[arm] += reward
+        if 0 in self.counts:
+            return self.counts.index(0)
+        return _argmax([s / n for s, n in zip(self.sums, self.counts)])
 
 
-class EpsilonGreedyPolicy:
+class EpsilonGreedyPolicy(_EmpiricalMeans):
     """Random arm with probability epsilon, else argmax of empirical means.
 
     No initialization sweep: unpulled arms count as mean 0 and exploration is
@@ -245,21 +250,16 @@ class EpsilonGreedyPolicy:
         self.decay = decay
 
     def reset(self, num_arms: int, horizon: int | None = None) -> None:
-        self.counts = np.zeros(num_arms)
-        self.sums = np.zeros(num_arms)
+        super().reset(num_arms, horizon)
         self.epsilon = self.epsilon0
 
     def select(self, t: int, rng: np.random.Generator) -> int:
         if rng.random() < self.epsilon:
             return int(rng.integers(len(self.counts)))
-        means = np.divide(
-            self.sums, self.counts, out=np.zeros_like(self.sums), where=self.counts > 0
-        )
-        return int(np.argmax(means))
+        return _argmax([s / n if n else 0.0 for s, n in zip(self.sums, self.counts)])
 
     def update(self, arm: int, reward: int) -> None:
-        self.counts[arm] += 1
-        self.sums[arm] += reward
+        super().update(arm, reward)
         self.epsilon *= self.decay
 
 

@@ -30,7 +30,12 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, dest="master_seed", help="master seed")
     parser.add_argument("--backend", help="mock:<script.json> or remote")
     parser.add_argument("--out", dest="output_dir", help="artifact directory")
-    parser.add_argument("--workers", type=int, help="worker pool size")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        help="runs at a time, in threads (default: serial for classical and mock suites, "
+        "os.cpu_count() threads for remote)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -196,8 +196,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _LINE_ENCODER.encode(obj)
 
 
 def _step_line_from_record(record, run_index: int) -> dict:
@@ -427,12 +430,15 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
 
 
 def run_suite(config: ExperimentConfig) -> RunArtifacts:
-    """Execute N runs in a bounded worker pool and write all artifacts.
+    """Execute N runs and write all artifacts.
 
-    Per-run JSONL files are written by the workers; the aggregate CSV, the
-    plot CSVs, and summary.json are written in a single pass afterwards, in
-    run order, so repeated invocations with the same config and master seed
-    produce identical bytes for mock and classical agents.
+    Runs hold the GIL unless a remote backend is waiting on the network, so
+    they run serially by default and in ``os.cpu_count()`` threads for the
+    remote backend; ``config.workers`` overrides either. Every file (the
+    per-run JSONL files, the aggregate CSV, the plot CSVs and summary.json)
+    is written after the runs, in run order, so repeated invocations with
+    the same config and master seed produce identical bytes for mock and
+    classical agents, whatever the worker count.
     """
     config.validate()
     backend_factory = config.backend_factory()
@@ -449,7 +455,7 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
         except Exception as exc:  # noqa: BLE001 - recorded per run, batch continues
             return i, None, {"run": i, "kind": type(exc).__name__, "error": str(exc)}
 
-    workers = config.workers or os.cpu_count() or 1
+    workers = config.workers or ((os.cpu_count() or 1) if config.backend == "remote" else 1)
     if workers == 1:
         results = [one(i) for i in range(config.runs)]
     else:
@@ -476,7 +482,13 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
         if config.suite == "bandit":
             aggregate_csv = out / "aggregate.csv"
             _write_csv(aggregate_csv, *_bandit_aggregate_rows(config.agent, metrics))
-            plot_csvs = _write_bandit_plots(out, config, metrics)
+            plot_csvs = _write_bandit_plots(
+                metrics,
+                config.num_arms,
+                config.horizon,
+                out / "plot_arm_selection.csv",
+                out / "plot_best_arm_fraction.csv",
+            )
         else:
             aggregate_csv = out / "aggregate.csv"
             _write_csv(aggregate_csv, *_keymaze_aggregate_rows(config.agent, metrics))
@@ -496,8 +508,17 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(out, run_files, metrics, aggregate_csv, plot_csvs, failures)
 
 
+BANDIT_HEADER = [
+    "agent",
+    "mean_avg_reward",
+    "suffix_fail_freq",
+    "best_arm_frac",
+    "cum_regret",
+    "invalid_count",
+]
+
+
 def _bandit_aggregate_rows(agent: str, metrics: list[dict]):
-    header = ["agent", "mean_avg_reward", "suffix_fail_freq", "best_arm_frac", "cum_regret", "invalid_count"]
     n = len(metrics)
     row = [
         agent,
@@ -507,7 +528,7 @@ def _bandit_aggregate_rows(agent: str, metrics: list[dict]):
         sum(m["cum_regret"] for m in metrics) / n,
         sum(m["invalid_count"] for m in metrics) / n,
     ]
-    return header, [row]
+    return BANDIT_HEADER, [row]
 
 
 KEYMAZE_HEADER = [
@@ -541,45 +562,47 @@ def _keymaze_aggregate_rows(agent: str, metrics: list[dict]):
 
 
 def _plot_series(metrics: list[dict], num_arms: int, horizon: int):
-    """Mean cumulative selections per arm, invalid count, and best-arm share over t."""
+    """Mean cumulative selections per arm, invalid count, and best-arm share over t.
+
+    Runs are summed one after another, in run order, so the float sums do not
+    depend on how each run's series is computed.
+    """
     n = len(metrics)
     cum = np.zeros((horizon, num_arms))
     invalid = np.zeros(horizon)
     best_frac = np.zeros(horizon)
     for m in metrics:
-        pulls = m["pulls"]
-        best = m["best_arm"]
-        counts = np.zeros(num_arms)
-        bad = 0
-        best_count = 0
-        for t, arm in enumerate(pulls):
-            if arm == INVALID_PULL or arm is None:
-                bad += 1
-            else:
-                counts[arm] += 1
-                if arm == best:
-                    best_count += 1
-            cum[t] += counts
-            invalid[t] += bad
-            best_frac[t] += best_count / (t + 1)
+        pulls = np.array(
+            [INVALID_PULL if arm is None else arm for arm in m["pulls"]], dtype=np.int64
+        )
+        steps = len(pulls)
+        valid = pulls != INVALID_PULL
+        picks = np.zeros((steps, num_arms))
+        picks[np.flatnonzero(valid), pulls[valid]] = 1.0
+        cum[:steps] += np.cumsum(picks, axis=0)
+        invalid[:steps] += np.cumsum(~valid)
+        best_frac[:steps] += np.cumsum(pulls == m["best_arm"]) / np.arange(1, steps + 1)
     return cum / n, invalid / n, best_frac / n
 
 
-def _write_bandit_plots(out: Path, config: ExperimentConfig, metrics: list[dict]) -> list[Path]:
-    num_arms = config.num_arms
+def _write_bandit_plots(
+    metrics: list[dict], num_arms: int, horizon: int, arm_path: Path, frac_path: Path
+) -> list[Path]:
+    """Write the arm-selection and best-arm-fraction plot CSVs of one agent's runs.
+
+    Arms past the named colors are headed ``arm5``, ``arm6``, ...
+    """
     colors = list(ARM_COLORS[:num_arms]) + [f"arm{i}" for i in range(len(ARM_COLORS), num_arms)]
-    cum, invalid, best_frac = _plot_series(metrics, num_arms, config.horizon)
-    arm_path = out / "plot_arm_selection.csv"
-    rows = [
-        [t + 1, *cum[t], invalid[t]]
-        for t in range(config.horizon)
-    ]
-    _write_csv(arm_path, ["t", *colors, "invalid"], rows)
-    frac_path = out / "plot_best_arm_fraction.csv"
+    cum, invalid, best_frac = _plot_series(metrics, num_arms, horizon)
+    _write_csv(
+        arm_path,
+        ["t", *colors, "invalid"],
+        [[t + 1, *cum[t].tolist(), invalid[t]] for t in range(horizon)],
+    )
     _write_csv(
         frac_path,
         ["t", "best_arm_frac"],
-        [[t + 1, best_frac[t]] for t in range(config.horizon)],
+        [[t + 1, best_frac[t]] for t in range(horizon)],
     )
     return [arm_path, frac_path]
 
@@ -639,39 +662,29 @@ def report(input_dir, output_dir) -> list[Path]:
     written: list[Path] = []
 
     if bandit_metrics:
-        header = ["agent", "mean_avg_reward", "suffix_fail_freq", "best_arm_frac", "cum_regret", "invalid_count"]
         rows = []
         for agent in sorted(bandit_metrics):
             rows += _bandit_aggregate_rows(agent, bandit_metrics[agent])[1]
         table = out / "metric_table.csv"
-        _write_csv(table, header, rows)
+        _write_csv(table, BANDIT_HEADER, rows)
         written.append(table)
         for agent in sorted(bandit_metrics):
             num_arms, horizon = bandit_shape[agent]
-            colors = list(ARM_COLORS[:num_arms])
-            cum, invalid, best_frac = _plot_series(bandit_metrics[agent], num_arms, horizon)
-            arm_path = out / f"arm_selection_{agent}.csv"
-            _write_csv(
-                arm_path,
-                ["t", *colors, "invalid"],
-                [[t + 1, *cum[t], invalid[t]] for t in range(horizon)],
+            written += _write_bandit_plots(
+                bandit_metrics[agent],
+                num_arms,
+                horizon,
+                out / f"arm_selection_{agent}.csv",
+                out / f"best_arm_fraction_{agent}.csv",
             )
-            frac_path = out / f"best_arm_fraction_{agent}.csv"
-            _write_csv(
-                frac_path,
-                ["t", "best_arm_frac"],
-                [[t + 1, best_frac[t]] for t in range(horizon)],
-            )
-            written += [arm_path, frac_path]
 
     if keymaze_metrics:
-        header = KEYMAZE_HEADER
         rows = [
             _keymaze_aggregate_rows(agent, keymaze_metrics[agent])[1][0]
             for agent in sorted(keymaze_metrics)
         ]
         table = out / "loops_table.csv"
-        _write_csv(table, header, rows)
+        _write_csv(table, KEYMAZE_HEADER, rows)
         written.append(table)
 
     return written

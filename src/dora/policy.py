@@ -229,6 +229,15 @@ def _candidate_logprobs(
     return [[0.0] for _ in kept]
 
 
+def _candidate(text: str, logprobs) -> CandidateAction:
+    """A candidate from backend output; log-probabilities that are not finite
+    and <= 0 are a bad reply, so they raise :class:`BackendError`."""
+    try:
+        return CandidateAction(text, tuple(logprobs))
+    except ValueError as exc:
+        raise BackendError(f"policy returned bad log-probabilities for {text!r}: {exc}") from exc
+
+
 def generate_candidates(
     backend: PolicyBackend,
     context: Sequence[dict],
@@ -263,7 +272,7 @@ def generate_candidates(
         return []
 
     logprobs = _candidate_logprobs(backend, context, reply, kept)
-    return [CandidateAction(text, tuple(lps)) for (text, _), lps in zip(kept, logprobs)]
+    return [_candidate(text, lps) for (text, _), lps in zip(kept, logprobs)]
 
 
 def greedy_action(
@@ -286,7 +295,7 @@ def greedy_action(
         lps = [lp for _, lp in reply.token_logprobs]
     else:
         lps = [0.0]
-    return CandidateAction(text, tuple(lps))
+    return _candidate(text, lps)
 
 
 # --- deterministic scripted mock -------------------------------------------

@@ -1,0 +1,73 @@
+"""Byte guard: pinned SHA-256 digests of small demo-config suites and their report.
+
+The digests were recorded before the classical-bandit hot path moved from
+numpy arrays to plain lists, the suite default became serial, and the plot
+writers merged. A speed-up that moves any artifact byte fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from dora.harness import ExperimentConfig, report, run_suite
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+# (demo config, agent override, runs) -> digest of the suite's output directory
+SUITE_DIGESTS = {
+    ("bandit_ucb.json", "ucb", 20): "65bce1fe4a393f79cda15302755b8a03e3dcc60102356c621b7ca73e8b7084a2",
+    ("bandit_ucb.json", "ts", 20): "471302bd64d8b6456b91b89852e40c3b2afd9da0f4722e3013dd3307ab31da45",
+    ("bandit_ucb.json", "greedy", 20): "6f48edbbc3d310db2204b829c7c1da7748a7ad50f721c78bcbf8fa1ea7e01891",
+    ("bandit_ucb.json", "eps_greedy", 20): "cc0d1c2e45730a8bcca5c21c549e1820b72206a9d91d514050b5a3c83b24bf3c",
+    ("bandit_dora_mock.json", None, 2): "3ae870214d73fbebe5499a86f877acf11cfd51313176c2f895a5eb8c35cfccce",
+    ("keymaze_dora_mock.json", None, 2): "ff26373b4ad531470708c9b55b82eb98b1cb83a6d6e84b6a9f6e5cb9171bf0f9",
+}
+REPORT_DIGEST = "bfedc1a300fc6879903a992561cbf4a837abdb740276d50344e3b74049e26f8d"
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over every file under ``root``: relative path and bytes, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def load_demo_config(name: str, agent: str | None, runs: int, out: Path) -> ExperimentConfig:
+    data = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    if "backend" in data:
+        data["backend"] = "mock:" + str(CONFIGS / Path(data["backend"].split(":", 1)[1]).name)
+    data.update(runs=runs, output_dir=str(out))
+    if agent is not None:
+        data["agent"] = agent
+    return ExperimentConfig.from_dict(data)
+
+
+@pytest.fixture(scope="module")
+def suites(tmp_path_factory):
+    root = tmp_path_factory.mktemp("digests")
+    dirs = {}
+    for key in SUITE_DIGESTS:
+        name, agent, runs = key
+        out = root / "runs" / f"{Path(name).stem}_{agent or 'default'}"
+        run_suite(load_demo_config(name, agent, runs, out))
+        dirs[key] = out
+    return root, dirs
+
+
+@pytest.mark.parametrize("key", list(SUITE_DIGESTS), ids=lambda k: f"{k[0]}:{k[1]}")
+def test_suite_artifacts_are_pinned(suites, key):
+    _, dirs = suites
+    assert tree_digest(dirs[key]) == SUITE_DIGESTS[key]
+
+
+def test_report_outputs_are_pinned(suites):
+    root, _ = suites
+    report(root / "runs", root / "report")
+    assert tree_digest(root / "report") == REPORT_DIGEST

@@ -1,0 +1,114 @@
+"""Parity of the list-based classical policies with the numpy formulas they replace.
+
+The reference policies below are the array implementations, inlined: the
+list versions must pick the same arm from any counts and sums (zero counts
+and exact ties included) and draw from the run's random stream in the same
+order, so whole runs keep their pulls.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dora.bandit import EpsilonGreedyPolicy, GreedyPolicy, UcbPolicy, make_hard_instance, run_bandit
+
+
+class NumpyUcb:
+    def __init__(self, bonus: float = 1.0) -> None:
+        self.bonus = bonus
+
+    def reset(self, num_arms, horizon=None):
+        self.counts = np.zeros(num_arms)
+        self.sums = np.zeros(num_arms)
+
+    def select(self, t, rng):
+        unpulled = np.flatnonzero(self.counts == 0)
+        if len(unpulled):
+            return int(unpulled[0])
+        scores = self.sums / self.counts + np.sqrt(self.bonus / self.counts)
+        return int(np.argmax(scores))
+
+    def update(self, arm, reward):
+        self.counts[arm] += 1
+        self.sums[arm] += reward
+
+
+class NumpyGreedy(NumpyUcb):
+    def select(self, t, rng):
+        unpulled = np.flatnonzero(self.counts == 0)
+        if len(unpulled):
+            return int(unpulled[0])
+        return int(np.argmax(self.sums / self.counts))
+
+
+class NumpyEpsilonGreedy(NumpyUcb):
+    def __init__(self, epsilon0: float = 0.1, decay: float = 0.99) -> None:
+        self.epsilon0 = epsilon0
+        self.decay = decay
+
+    def reset(self, num_arms, horizon=None):
+        super().reset(num_arms, horizon)
+        self.epsilon = self.epsilon0
+
+    def select(self, t, rng):
+        if rng.random() < self.epsilon:
+            return int(rng.integers(len(self.counts)))
+        means = np.divide(
+            self.sums, self.counts, out=np.zeros_like(self.sums), where=self.counts > 0
+        )
+        return int(np.argmax(means))
+
+    def update(self, arm, reward):
+        super().update(arm, reward)
+        self.epsilon *= self.decay
+
+
+PAIRS = {
+    "ucb": (UcbPolicy, NumpyUcb),
+    "greedy": (GreedyPolicy, NumpyGreedy),
+    "eps_greedy": (EpsilonGreedyPolicy, NumpyEpsilonGreedy),
+}
+
+
+@st.composite
+def arm_stats(draw):
+    """Per-arm (count, sum) pairs; small ranges make zero counts and exact ties common."""
+    num_arms = draw(st.integers(2, 8))
+    top = draw(st.sampled_from([3, 40]))
+    counts = draw(st.lists(st.integers(0, top), min_size=num_arms, max_size=num_arms))
+    sums = [draw(st.integers(0, n)) for n in counts]
+    return counts, sums
+
+
+def load(policy, counts, sums):
+    policy.reset(len(counts))
+    for arm, (n, s) in enumerate(zip(counts, sums)):
+        for i in range(n):
+            policy.update(arm, 1 if i < s else 0)
+    return policy
+
+
+@pytest.mark.parametrize("name", list(PAIRS))
+@settings(max_examples=300, deadline=None)
+@given(stats=arm_stats(), seed=st.integers(0, 2**32 - 1))
+def test_select_matches_numpy_formula(name, stats, seed):
+    counts, sums = stats
+    new_cls, ref_cls = PAIRS[name]
+    new, ref = load(new_cls(), counts, sums), load(ref_cls(), counts, sums)
+    new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert new.select(0, new_rng) == ref.select(0, ref_rng)
+    assert new_rng.random() == ref_rng.random()  # same draws consumed
+
+
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_whole_runs_match_numpy_formula(name):
+    new_cls, ref_cls = PAIRS[name]
+    for seed in range(200):
+        instance = make_hard_instance(2 + seed % 6, 0.2, 200, seed)
+        new = run_bandit(new_cls(), instance, seed)
+        ref = run_bandit(ref_cls(), instance, seed)
+        assert new.pulls == ref.pulls, f"seed {seed}"
+        assert new.rewards == ref.rewards, f"seed {seed}"

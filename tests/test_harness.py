@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dora import harness
 from dora.cli import main
 from dora.harness import (
     SCHEMA_VERSION,
@@ -56,6 +57,10 @@ def write_keymaze_mock(path: Path) -> str:
     }
     path.write_text(json.dumps(script))
     return str(path)
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestExperimentConfig:
@@ -232,6 +237,57 @@ class TestBanditSuite:
         assert summary["completed"] < 2
 
 
+class TestWorkerDefault:
+    def config(self, tmp_path, name, **kw):
+        base = {"agent": "ucb", "runs": 6, "horizon": 40, "output_dir": str(tmp_path / name)}
+        base.update(kw)
+        return ExperimentConfig.from_dict(base)
+
+    def forbid_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a GIL-bound suite must not start a thread pool")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+
+    def test_classical_suite_runs_serially(self, tmp_path, monkeypatch):
+        self.forbid_pool(monkeypatch)
+        assert run_suite(self.config(tmp_path, "ucb")).complete
+
+    def test_mock_suite_runs_serially(self, tmp_path, monkeypatch):
+        self.forbid_pool(monkeypatch)
+        script = write_bandit_mock(tmp_path / "script.json")
+        config = self.config(tmp_path, "dora", agent="dora_scheduled", backend=f"mock:{script}", runs=2)
+        assert run_suite(config).complete
+
+    def test_remote_suite_keeps_the_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DORA_API_BASE", "http://127.0.0.1:9")
+        monkeypatch.setenv("DORA_MODEL", "test-model")
+        pools = []
+
+        class Started(Exception):
+            pass
+
+        def record_pool(max_workers):
+            pools.append(max_workers)
+            raise Started  # stop before any run reaches the endpoint
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", record_pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)  # a pool even on one CPU
+        config = self.config(tmp_path, "remote", agent="dora_scheduled", backend="remote", runs=2)
+        with pytest.raises(Started):
+            run_suite(config)
+        assert pools == [4]
+
+    def test_unset_workers_matches_four_workers(self, tmp_path):
+        script = write_bandit_mock(tmp_path / "script.json")
+        for agent, backend in (("eps_greedy", None), ("dora_scheduled", f"mock:{script}")):
+            serial = self.config(tmp_path, f"{agent}_default", agent=agent, backend=backend)
+            pooled = self.config(tmp_path, f"{agent}_w4", agent=agent, backend=backend, workers=4)
+            run_suite(serial)
+            run_suite(pooled)
+            assert tree_bytes(Path(serial.output_dir)) == tree_bytes(Path(pooled.output_dir))
+
+
 class TestKeymazeSuite:
     def test_llm_temp_keymaze_runs(self, tmp_path):
         script = tmp_path / "temp.json"
@@ -278,6 +334,42 @@ class TestKeymazeSuite:
         metrics = artifacts.metrics[0]
         assert metrics["unique_states"] >= 1
         assert metrics["loops_recovered"] <= metrics["loops_encountered"]
+
+    @pytest.mark.parametrize("bad", [float("-inf"), float("nan"), 0.5])
+    def test_bad_token_logprob_is_a_backend_error_step(self, tmp_path, bad):
+        # A candidate list whose token log-probabilities include a value that
+        # is not finite and <= 0: the step falls back, the run completes.
+        lines = ["go north", "look"]
+        tokens = [["go", -0.1], [" north", bad], ["\n", -0.01], ["look", -0.2]]
+        script = tmp_path / "km.json"
+        script.write_text(
+            json.dumps(
+                {
+                    "loop": True,
+                    "entries": [
+                        {"kind": "mode", "text": '{"mode":"EXPLORE"}'},
+                        {"kind": "candidates", "text": "\n".join(lines), "token_logprobs": tokens},
+                        {"kind": "greedy", "text": "look"},
+                    ],
+                }
+            )
+        )
+        config = ExperimentConfig.from_dict(
+            {
+                "suite": "keymaze",
+                "agent": "dora_scheduled",
+                "runs": 1,
+                "max_steps": 3,
+                "backend": f"mock:{script}",
+                "output_dir": str(tmp_path / "km_out"),
+            }
+        )
+        artifacts = run_suite(config)
+        assert artifacts.complete
+        records = [json.loads(line) for line in artifacts.run_files[0].read_text().splitlines()]
+        steps = [r for r in records if r["kind"] == "step"]
+        assert len(steps) == 3
+        assert {r["fallback"] for r in steps} == {"backend_error"}
 
 
 class TestReport:
@@ -351,6 +443,23 @@ class TestReport:
         rows = frac.read_text().splitlines()[1:]
         assert len(rows) == horizon
         assert all(row.split(",")[1] == "1" for row in rows)
+
+    def test_more_arms_than_colors_keeps_csvs_rectangular(self, tmp_path):
+        runs = tmp_path / "runs"
+        suite = run_suite(
+            ExperimentConfig.from_dict(
+                {"agent": "ucb", "runs": 3, "num_arms": 7, "horizon": 25, "output_dir": str(runs)}
+            )
+        )
+        written = report(runs, tmp_path / "tables")
+        from_report = [p for p in written if p.name == "arm_selection_ucb.csv"][0]
+        from_suite = [p for p in suite.plot_csvs if p.name == "plot_arm_selection.csv"][0]
+        for path in (from_report, from_suite):
+            header, *rows = path.read_text().splitlines()
+            assert header == "t,blue,green,red,yellow,purple,arm5,arm6,invalid"
+            assert len(rows) == 25
+            assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
+        assert from_report.read_bytes() == from_suite.read_bytes()
 
     def test_merges_agents_into_one_table(self, tmp_path):
         out_a = tmp_path / "runs"

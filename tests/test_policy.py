@@ -7,6 +7,7 @@ import json
 import pytest
 
 from dora.policy import (
+    BackendError,
     MockPolicy,
     Mode,
     PolicyReply,
@@ -176,6 +177,21 @@ class TestGenerateCandidates:
         with pytest.raises(ValueError):
             generate_candidates(mock, CTX, n_candidates=0)
 
+    @pytest.mark.parametrize("bad", [float("-inf"), float("inf"), float("nan"), 0.5])
+    def test_bad_sliced_logprob_is_backend_error(self, bad):
+        tokens = [("go", -0.1), (" north", bad), ("\n", -0.01), ("look", -0.2)]
+        entry = ScriptEntry.candidates(["go north", "look"], token_logprobs=tokens)
+        with pytest.raises(BackendError):
+            generate_candidates(MockPolicy([entry]), CTX, n_candidates=5)
+
+    def test_bad_rescore_is_backend_error(self):
+        mock = MockPolicy(
+            [ScriptEntry.candidates(["go north", "look"])],
+            rescores={"go north": [-0.1], "look": [float("-inf")]},
+        )
+        with pytest.raises(BackendError):
+            generate_candidates(mock, CTX, n_candidates=5)
+
 
 class TestGreedyAction:
     def test_mock_passthrough(self):
@@ -204,6 +220,12 @@ class TestGreedyAction:
         )
         action = greedy_action(MockPolicy([entry]), CTX)
         assert action.token_logprobs == (-0.25,)
+
+    @pytest.mark.parametrize("bad", [float("-inf"), float("nan"), 0.25])
+    def test_bad_reply_logprob_is_backend_error(self, bad):
+        entry = ScriptEntry(PromptKind.GREEDY_ACTION, "look", token_logprobs=(("look", bad),))
+        with pytest.raises(BackendError):
+            greedy_action(MockPolicy([entry]), CTX)
 
 
 class TestMockPolicy:
