@@ -193,8 +193,8 @@ def dora_step(
                     chosen_action=chosen.text,
                     lam=lam,
                     candidates=[
-                        ScoredCandidate(c.text, float(s), float(p))
-                        for c, s, p in zip(fresh, dist.scores, dist.probs)
+                        ScoredCandidate(c.text, s, p)
+                        for c, s, p in zip(fresh, dist.scores.tolist(), dist.probs.tolist())
                     ],
                     fallback_reason=fallback,
                 )

@@ -175,6 +175,19 @@ def _argmax(values: list[float]) -> int:
     return values.index(max(values))
 
 
+def _means(counts: Sequence[int], sums: Sequence[float]) -> list[float]:
+    """Per-arm empirical means; an arm never pulled reads 0.0, as with
+    ``np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)``."""
+    return [s / n if n else 0.0 for s, n in zip(sums, counts)]
+
+
+def _summary(step_count: int, counts: Sequence[int], sums: Sequence[float]) -> str:
+    """The summarized-history observation of the first ``len(counts)`` arms."""
+    return prompts.mab_history(
+        step_count, counts, _means(counts, sums), ARM_COLORS[: len(counts)]
+    )
+
+
 class _EmpiricalMeans:
     """Per-arm pull counts and reward sums in plain lists.
 
@@ -206,19 +219,24 @@ class UcbPolicy(_EmpiricalMeans):
 
 
 class ThompsonPolicy:
-    """Independent Beta-Bernoulli posteriors, initialized at Beta(1, 1)."""
+    """Independent Beta-Bernoulli posteriors, initialized at Beta(1, 1).
+
+    One ``rng.beta(a, b)`` call per arm, in arm order, draws the same stream
+    as one call on the parameter vectors, without its per-call array checks.
+    """
 
     def __init__(self, alpha0: float = 1.0, beta0: float = 1.0) -> None:
         self.alpha0 = alpha0
         self.beta0 = beta0
 
     def reset(self, num_arms: int, horizon: int | None = None) -> None:
-        self.alpha = np.full(num_arms, self.alpha0)
-        self.beta = np.full(num_arms, self.beta0)
-        self.counts = np.zeros(num_arms)
+        self.alpha = [float(self.alpha0)] * num_arms
+        self.beta = [float(self.beta0)] * num_arms
+        self.counts = [0] * num_arms
 
     def select(self, t: int, rng: np.random.Generator) -> int:
-        return int(np.argmax(rng.beta(self.alpha, self.beta)))
+        beta = rng.beta
+        return _argmax([beta(a, b) for a, b in zip(self.alpha, self.beta)])
 
     def update(self, arm: int, reward: int) -> None:
         self.counts[arm] += 1
@@ -256,14 +274,14 @@ class EpsilonGreedyPolicy(_EmpiricalMeans):
     def select(self, t: int, rng: np.random.Generator) -> int:
         if rng.random() < self.epsilon:
             return int(rng.integers(len(self.counts)))
-        return _argmax([s / n if n else 0.0 for s, n in zip(self.sums, self.counts)])
+        return _argmax(_means(self.counts, self.sums))
 
     def update(self, arm: int, reward: int) -> None:
         super().update(arm, reward)
         self.epsilon *= self.decay
 
 
-class ScheduledSoftmaxAgent:
+class ScheduledSoftmaxAgent(_EmpiricalMeans):
     """Samples arms from a softmax over running empirical means whose sharpness
     follows a lambda schedule: early steps are near uniform, late steps
     concentrate on the best-looking arm."""
@@ -271,24 +289,13 @@ class ScheduledSoftmaxAgent:
     def __init__(self, schedule: LambdaSchedule) -> None:
         self.schedule = schedule
 
-    def reset(self, num_arms: int, horizon: int | None = None) -> None:
-        self.counts = np.zeros(num_arms)
-        self.sums = np.zeros(num_arms)
-
     def select(self, t: int, rng: np.random.Generator) -> int:
-        means = np.divide(
-            self.sums, self.counts, out=np.zeros_like(self.sums), where=self.counts > 0
-        )
         lam = lambda_exp(self.schedule, min(t, self.schedule.horizon))
-        dist = lambda_probabilities(means, lam)
+        dist = lambda_probabilities(_means(self.counts, self.sums), lam)
         return sample_categorical(dist, rng)
 
-    def update(self, arm: int, reward: int) -> None:
-        self.counts[arm] += 1
-        self.sums[arm] += reward
 
-
-class TemperaturePolicyAgent:
+class TemperaturePolicyAgent(_EmpiricalMeans):
     """Language-model arm chooser prompted with the summarized history.
 
     ``temperature`` is a constant or a callable of the step index (for the
@@ -304,10 +311,9 @@ class TemperaturePolicyAgent:
     def reset(self, num_arms: int, horizon: int) -> None:
         if num_arms > len(ARM_COLORS):
             raise ValueError(f"color interface supports at most {len(ARM_COLORS)} arms")
+        super().reset(num_arms, horizon)
         self.num_arms = num_arms
         self.horizon = horizon
-        self.counts = np.zeros(num_arms)
-        self.sums = np.zeros(num_arms)
         self.steps_taken = 0
         self._system = prompts.mab_system(num_arms, horizon)
 
@@ -317,15 +323,9 @@ class TemperaturePolicyAgent:
         return float(self.temperature)
 
     def select(self, t: int, rng: np.random.Generator) -> int | None:
-        means = np.divide(
-            self.sums, self.counts, out=np.zeros_like(self.sums), where=self.counts > 0
-        )
-        observation = prompts.mab_history(
-            self.steps_taken, self.counts, means, ARM_COLORS[: self.num_arms]
-        )
         context = (
             {"role": "system", "content": self._system},
-            {"role": "user", "content": observation},
+            {"role": "user", "content": _summary(self.steps_taken, self.counts, self.sums)},
         )
         self.steps_taken += 1
         try:
@@ -338,10 +338,6 @@ class TemperaturePolicyAgent:
         if arm is not None and arm >= self.num_arms:
             return None
         return arm
-
-    def update(self, arm: int, reward: int) -> None:
-        self.counts[arm] += 1
-        self.sums[arm] += reward
 
 
 def decaying_temperature(
@@ -404,17 +400,9 @@ class BanditEnv:
         self.t = 0
         self.pulls: list[int] = []
         self.rewards: list[int] = []
-        self.counts = np.zeros(self.instance.num_arms)
-        self.sums = np.zeros(self.instance.num_arms)
-        return self._observation()
-
-    def _observation(self) -> str:
-        means = np.divide(
-            self.sums, self.counts, out=np.zeros_like(self.sums), where=self.counts > 0
-        )
-        return prompts.mab_history(
-            self.t, self.counts, means, ARM_COLORS[: self.instance.num_arms]
-        )
+        self.counts = [0] * self.instance.num_arms
+        self.sums = [0.0] * self.instance.num_arms
+        return _summary(self.t, self.counts, self.sums)
 
     def step(self, action_text: str):
         from .textenv import EnvError, TextEnvStep
@@ -437,7 +425,7 @@ class BanditEnv:
         self.rewards.append(reward)
         self.t += 1
         return TextEnvStep(
-            observation=self._observation(),
+            observation=_summary(self.t, self.counts, self.sums),
             reward=float(reward),
             score=sum(self.rewards) / self.instance.horizon,
             terminal=self.t >= self.instance.horizon,

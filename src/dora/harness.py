@@ -634,7 +634,8 @@ def report(input_dir, output_dir) -> list[Path]:
     """Aggregate a directory of run JSONL files into summary tables and plot CSVs.
 
     Raises :class:`ReportError` (before writing anything) when the directory
-    holds no artifacts or any line fails the schema check.
+    holds no artifacts, any line fails the schema check, or one bandit agent's
+    runs differ in ``(num_arms, horizon)``.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -642,7 +643,7 @@ def report(input_dir, output_dir) -> list[Path]:
         raise ReportError(f"no run artifacts (*.jsonl) found under {input_dir}")
 
     bandit_metrics: dict[str, list[dict]] = {}
-    bandit_shape: dict[str, tuple[int, int]] = {}
+    bandit_shape: dict[str, tuple[tuple[int, int], Path]] = {}
     keymaze_metrics: dict[str, list[dict]] = {}
     for path in paths:
         records = _read_jsonl(path)
@@ -652,8 +653,14 @@ def report(input_dir, output_dir) -> list[Path]:
             raise ReportError(f"{path}: missing config or metrics record")
         if header.get("suite") == "bandit":
             agent = header["agent"]
+            shape = (header["num_arms"], header["horizon"])
+            first_shape, first_path = bandit_shape.setdefault(agent, (shape, path))
+            if shape != first_shape:
+                raise ReportError(
+                    f"{path}: agent {agent!r} has (num_arms, horizon) = {shape}, but "
+                    f"{first_path} has {first_shape}; report them from separate directories"
+                )
             bandit_metrics.setdefault(agent, []).append(metrics)
-            bandit_shape[agent] = (header["num_arms"], header["horizon"])
         else:
             keymaze_metrics.setdefault(header["agent"], []).append(metrics)
 
@@ -669,7 +676,7 @@ def report(input_dir, output_dir) -> list[Path]:
         _write_csv(table, BANDIT_HEADER, rows)
         written.append(table)
         for agent in sorted(bandit_metrics):
-            num_arms, horizon = bandit_shape[agent]
+            (num_arms, horizon), _ = bandit_shape[agent]
             written += _write_bandit_plots(
                 bandit_metrics[agent],
                 num_arms,

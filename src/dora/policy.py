@@ -409,10 +409,16 @@ class MockPolicy(PolicyBackend):
         if self._rescores is None:
             raise NotImplementedError("mock has no rescore table")
         self.rescore_calls += 1
-        key = normalize_action(text)
-        if key not in self._rescores:
-            raise MockScriptError(f"no scripted rescore for action {key!r}")
-        return list(self._rescores[key])
+        # Keys are normalized and candidates arrive normalized, so the raw
+        # text almost always hits; normalizing a key is a no-op, so the
+        # fallback finds the same entry.
+        lps = self._rescores.get(text)
+        if lps is None:
+            key = normalize_action(text)
+            if key not in self._rescores:
+                raise MockScriptError(f"no scripted rescore for action {key!r}")
+            lps = self._rescores[key]
+        return list(lps)
 
     def complete(self, request: PolicyRequest) -> PolicyReply:
         self.calls.append(request.prompt_kind)

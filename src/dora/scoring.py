@@ -13,12 +13,16 @@ explicit seeded generator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 DEFAULT_EPSILON = 1e-8
 PROB_SUM_TOL = 1e-9
+_NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,12 @@ class CandidateAction:
     token_logprobs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lps = tuple(float(x) for x in self.token_logprobs)
+        lps = tuple(map(float, self.token_logprobs))
         object.__setattr__(self, "token_logprobs", lps)
         if len(lps) == 0:
             raise ValueError("candidate action needs at least one token log-probability")
         for lp in lps:
-            if not math.isfinite(lp) or lp > 0.0:
+            if not _NEG_INF < lp <= 0.0:  # false for NaN too
                 raise ValueError(f"token log-probabilities must be finite and <= 0, got {lp!r}")
 
 
@@ -73,9 +77,9 @@ class LambdaDistribution:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.scores.shape != self.probs.shape or self.scores.ndim != 1 or len(self.scores) < 1:
             raise ValueError("scores and probs must be 1-d vectors of equal length >= 1")
-        if np.any(self.probs < 0.0):
+        if self.probs.min() < 0.0:
             raise ValueError("probabilities must be non-negative")
-        if abs(float(self.probs.sum()) - 1.0) > PROB_SUM_TOL:
+        if not abs(float(self.probs.sum()) - 1.0) <= PROB_SUM_TOL:  # NaN fails too
             raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_TOL}")
 
 
@@ -87,9 +91,31 @@ def mean_logprob(candidate: CandidateAction) -> float:
 
 def variance_logprob(candidate: CandidateAction) -> float:
     """Population variance (divide by N, no Bessel correction) of the token log-probabilities."""
-    lps = candidate.token_logprobs
+    return _moments(candidate.token_logprobs)[1]
+
+
+def _moments(lps: tuple[float, ...]) -> tuple[float, float]:
     mu = sum(lps) / len(lps)
-    return sum((lp - mu) ** 2 for lp in lps) / len(lps)
+    return mu, sum((lp - mu) ** 2 for lp in lps) / len(lps)
+
+
+# The helpers below work on Python floats: on the handful of candidates of one
+# step, numpy's per-call overhead costs more than the arithmetic. Each float
+# operation is the one the array formula does, in the same order, so every
+# result is bit-identical to it.
+
+
+def _minmax(values: Sequence[float], epsilon: float) -> list[float]:
+    lo = min(values)
+    hi = max(values)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("values must be finite")
+    if lo == 0.0 and any(math.copysign(1.0, x) < 0.0 for x in values if x == 0.0):
+        # A -0.0 minimum next to +0.0: which zero numpy's min returns depends
+        # on positions and vector width, and it sets the sign of -0.0 - lo.
+        lo = float(np.min(values))
+    span = hi - lo + epsilon
+    return [(x - lo) / span for x in values]
 
 
 def minmax_normalize(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
@@ -105,9 +131,7 @@ def minmax_normalize(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
         raise ValueError("values must be finite")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    lo = float(arr.min())
-    hi = float(arr.max())
-    return (arr - lo) / (hi - lo + epsilon)
+    return np.array(_minmax(arr.tolist(), epsilon))
 
 
 def score_candidates(candidates, params: ScoreParams | None = None) -> np.ndarray:
@@ -122,11 +146,12 @@ def score_candidates(candidates, params: ScoreParams | None = None) -> np.ndarra
     cands = list(candidates)
     if not cands:
         raise ValueError("candidate set must be non-empty")
-    means = np.array([mean_logprob(c) for c in cands])
-    variances = np.array([variance_logprob(c) for c in cands])
-    norm_means = minmax_normalize(means, params.epsilon)
-    norm_vars = minmax_normalize(variances, params.epsilon)
-    return params.alpha * norm_means - (1.0 - params.alpha) * norm_vars
+    means, variances = zip(*(_moments(c.token_logprobs) for c in cands))
+    norm_means = _minmax(means, params.epsilon)
+    norm_vars = _minmax(variances, params.epsilon)
+    alpha = params.alpha
+    beta = 1.0 - alpha
+    return np.array([alpha * m - beta * v for m, v in zip(norm_means, norm_vars)])
 
 
 def lambda_probabilities(scores, lam: float) -> LambdaDistribution:
@@ -138,21 +163,29 @@ def lambda_probabilities(scores, lam: float) -> LambdaDistribution:
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("scores must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    values = arr.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("scores must be finite")
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0.0:
         raise ValueError(f"lambda must be a finite real >= 0, got {lam!r}")
-    logits = lam * arr
-    shifted = logits - logits.max()
-    weights = np.exp(shifted)
+    logits = [lam * s for s in values]
+    top = max(logits)
+    # The exponentials and their sum stay in numpy, because they decide the
+    # bytes: numpy's SIMD exp differs from math.exp in the last bit on about
+    # 5% of inputs in [-48, 0] on AVX-512 builds, and ndarray.sum adds
+    # pairwise from 8 elements on, which a sequential sum does not match.
+    weights = np.exp(np.array([z - top for z in logits]))
     probs = weights / weights.sum()
     return LambdaDistribution(scores=arr, lam=lam, probs=probs)
 
 
 def sample_categorical(dist: LambdaDistribution, rng: np.random.Generator) -> int:
-    """Draw an index by inverse-CDF over the cumulative probabilities."""
-    cdf = np.cumsum(dist.probs)
-    u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    """Draw an index by inverse-CDF over the cumulative probabilities.
+
+    The running sum adds left to right, as ``np.cumsum`` does, and the search
+    takes the first index whose cumulative mass exceeds the uniform draw.
+    """
+    cdf = list(accumulate(dist.probs.tolist()))
+    idx = bisect_right(cdf, rng.random())
     return min(idx, len(cdf) - 1)

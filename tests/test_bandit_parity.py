@@ -3,7 +3,8 @@
 The reference policies below are the array implementations, inlined: the
 list versions must pick the same arm from any counts and sums (zero counts
 and exact ties included) and draw from the run's random stream in the same
-order, so whole runs keep their pulls.
+order, so whole runs keep their pulls. For Thompson sampling that means one
+``rng.beta`` call per arm draws what one call on the whole vector draws.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dora.bandit import EpsilonGreedyPolicy, GreedyPolicy, UcbPolicy, make_hard_instance, run_bandit
+from dora.bandit import (
+    EpsilonGreedyPolicy,
+    GreedyPolicy,
+    ThompsonPolicy,
+    UcbPolicy,
+    make_hard_instance,
+    run_bandit,
+)
 
 
 class NumpyUcb:
@@ -66,8 +74,24 @@ class NumpyEpsilonGreedy(NumpyUcb):
         self.epsilon *= self.decay
 
 
+class NumpyThompson:
+    def reset(self, num_arms, horizon=None):
+        self.alpha = np.full(num_arms, 1.0)
+        self.beta = np.full(num_arms, 1.0)
+
+    def select(self, t, rng):
+        return int(np.argmax(rng.beta(self.alpha, self.beta)))
+
+    def update(self, arm, reward):
+        if reward:
+            self.alpha[arm] += 1
+        else:
+            self.beta[arm] += 1
+
+
 PAIRS = {
     "ucb": (UcbPolicy, NumpyUcb),
+    "ts": (ThompsonPolicy, NumpyThompson),
     "greedy": (GreedyPolicy, NumpyGreedy),
     "eps_greedy": (EpsilonGreedyPolicy, NumpyEpsilonGreedy),
 }

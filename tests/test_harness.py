@@ -483,6 +483,29 @@ class TestReport:
         assert [row.split(",")[0] for row in rows[1:]] == ["greedy", "ucb"]
 
 
+    def test_mixed_bandit_shapes_are_a_report_error(self, tmp_path):
+        runs = tmp_path / "runs"
+        for name, num_arms in (("a_k5", 5), ("b_k2", 2)):
+            run_suite(
+                ExperimentConfig.from_dict(
+                    {
+                        "agent": "ucb",
+                        "runs": 2,
+                        "num_arms": num_arms,
+                        "horizon": 20,
+                        "output_dir": str(runs / name),
+                    }
+                )
+            )
+        out = tmp_path / "tables"
+        with pytest.raises(ReportError) as info:
+            report(runs, out)
+        message = str(info.value)
+        assert "(5, 20)" in message and "(2, 20)" in message
+        assert str(runs / "b_k2") in message and str(runs / "a_k5") in message
+        assert not out.exists()
+
+
 class TestCli:
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         code = main(

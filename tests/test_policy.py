@@ -9,6 +9,7 @@ import pytest
 from dora.policy import (
     BackendError,
     MockPolicy,
+    MockScriptError,
     Mode,
     PolicyReply,
     PolicyRequest,
@@ -281,6 +282,23 @@ class TestMockPolicy:
         assert decide_mode(mock, CTX) is Mode.EXPLORE
         cands = generate_candidates(mock, CTX, 5)
         assert cands[0].token_logprobs == (-0.5,)
+
+    def test_rescore_normalizes_a_decorated_action(self):
+        mock = MockPolicy([], rescores={"press red button": [-0.2, -0.3]})
+        assert mock.rescore(CTX, "  - Press RED button") == [-0.2, -0.3]
+        assert mock.rescore(CTX, "press red button") == [-0.2, -0.3]
+        assert mock.rescore_calls == 2
+
+    def test_rescore_of_an_unknown_action_raises(self):
+        mock = MockPolicy([], rescores={"press red button": [-0.2]})
+        with pytest.raises(MockScriptError, match="'press blue button'"):
+            mock.rescore(CTX, "  - Press BLUE button")
+        assert mock.rescore_calls == 1
+
+    def test_rescore_returns_a_fresh_list(self):
+        mock = MockPolicy([], rescores={"look": [-0.9]})
+        mock.rescore(CTX, "look").append(-1.0)
+        assert mock.rescore(CTX, "look") == [-0.9]
 
     def test_answer_entry_shape(self):
         entry = ScriptEntry.answer("blue")

@@ -292,6 +292,15 @@ class TestLambdaDistributionInvariants:
         with pytest.raises(ValueError):
             LambdaDistribution(np.array([0.1, 0.2]), 1.0, np.array([-0.1, 1.1]))
 
+    def test_rejects_nan_probs(self):
+        with pytest.raises(ValueError):
+            LambdaDistribution(np.array([0.1, 0.2]), 1.0, np.array([float("nan"), 1.0]))
+
+    def test_overflowing_logits_are_rejected(self):
+        # 1e308 * 10 overflows to inf, and inf - inf leaves NaN probabilities
+        with pytest.raises(ValueError):
+            lambda_probabilities([10.0, 0.0], 1e308)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LambdaDistribution(np.array([0.1]), 1.0, np.array([0.5, 0.5]))
