@@ -137,8 +137,8 @@ def _resolve_lambda(
         t = min(max(step, 0), sched.horizon)
         return lambda_exp(sched, t), False
     lo, hi = lambda_source.bounds
-    messages = context + [{"role": "user", "content": prompts.lambda_decision(lo, hi)}]
-    request = PolicyRequest(tuple(messages), params.tau_lambda, 1, PromptKind.LAMBDA_DECISION)
+    messages = (*context, {"role": "user", "content": prompts.lambda_decision(lo, hi)})
+    request = PolicyRequest(messages, params.tau_lambda, 1, PromptKind.LAMBDA_DECISION)
     for _ in range(params.lambda_retries + 1):
         value = extract_lambda(backend.complete(request).text)
         if value is not None:

@@ -400,6 +400,7 @@ class BanditEnv:
         self.t = 0
         self.pulls: list[int] = []
         self.rewards: list[int] = []
+        self._total = 0
         self.counts = [0] * self.instance.num_arms
         self.sums = [0.0] * self.instance.num_arms
         return _summary(self.t, self.counts, self.sums)
@@ -423,11 +424,12 @@ class BanditEnv:
             self.counts[arm] += 1
             self.sums[arm] += reward
         self.rewards.append(reward)
+        self._total += reward
         self.t += 1
         return TextEnvStep(
             observation=_summary(self.t, self.counts, self.sums),
             reward=float(reward),
-            score=sum(self.rewards) / self.instance.horizon,
+            score=self._total / self.instance.horizon,
             terminal=self.t >= self.instance.horizon,
             valid_action=arm is not None,
         )

@@ -10,6 +10,7 @@ reproducible from (config, master_seed).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -137,7 +138,12 @@ class ExperimentConfig:
             raise ConfigError(f"world file not found: {self.world}")
 
     def backend_factory(self):
-        """Fresh backend per run (the mock is single-episode by contract)."""
+        """Fresh backend per run (the mock is single-episode by contract).
+
+        The mock script is read on the first call and every call returns a
+        fresh mock over it. A script that fails to parse is not cached, so
+        each run re-raises the same error and is recorded as failed.
+        """
         if self.backend is None:
             return None
         if self.backend == "remote":
@@ -147,7 +153,8 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
             return lambda: RemotePolicy()
         script = self.backend.split(":", 1)[1]
-        return lambda: MockPolicy.from_file(script)
+        parsed = functools.cache(lambda: MockPolicy.from_file(script))
+        return lambda: parsed().fresh()
 
     def dora_params(self, greedy_kind: PromptKind) -> DoraParams:
         return DoraParams(

@@ -21,6 +21,7 @@ uniform sampling distribution.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -121,35 +122,32 @@ class PolicyBackend:
 # --- action-string normalization ------------------------------------------
 
 _BULLET_RE = re.compile(r"^(?:[-*>•]+|\(?\d+[.):\]])\s*")
-_QUOTE_PAIRS = {('"', '"'), ("'", "'"), ("`", "`"), ("“", "”"), ("‘", "’")}
+_CLOSING_QUOTE = {'"': '"', "'": "'", "`": "`", "“": "”", "‘": "’"}
 
 
 def _strip_decorations(line: str) -> tuple[str, int]:
     """Strip outer whitespace, leading bullets/numbering, and surrounding quotes.
 
     Returns the stripped core and its start offset in the original string,
-    so callers can map the core back to token positions.
+    so callers can map the core back to token positions. Each pass strips
+    whitespace, then one bullet, then one quote pair; passes repeat until a
+    pass removes neither a bullet nor quotes.
     """
+    core = line
     start = 0
-    end = len(line)
-    changed = True
-    while changed:
-        changed = False
-        while start < end and line[start].isspace():
-            start += 1
-            changed = True
-        while end > start and line[end - 1].isspace():
-            end -= 1
-            changed = True
-        m = _BULLET_RE.match(line[start:end])
-        if m and m.end() > 0:
+    while True:
+        stripped = core.lstrip()
+        start += len(core) - len(stripped)
+        core = stripped.rstrip()
+        m = _BULLET_RE.match(core)
+        if m:
             start += m.end()
-            changed = True
-        if end - start >= 2 and (line[start], line[end - 1]) in _QUOTE_PAIRS:
+            core = core[m.end() :]
+        if len(core) >= 2 and _CLOSING_QUOTE.get(core[0]) == core[-1]:
             start += 1
-            end -= 1
-            changed = True
-    return line[start:end], start
+            core = core[1:-1]
+        elif not m:
+            return core, start
 
 
 def normalize_action(text: str) -> str:
@@ -174,20 +172,9 @@ def parse_mode_reply(text: str) -> Mode:
 
 def decide_mode(backend: PolicyBackend, context: Sequence[dict], temperature: float = 0.2) -> Mode:
     """Ask the policy whether to act greedily or explore."""
-    messages = list(context) + [{"role": "user", "content": mode_decision()}]
-    reply = backend.complete(
-        PolicyRequest(tuple(messages), temperature, 1, PromptKind.MODE_DECISION)
-    )
+    messages = (*context, {"role": "user", "content": mode_decision()})
+    reply = backend.complete(PolicyRequest(messages, temperature, 1, PromptKind.MODE_DECISION))
     return parse_mode_reply(reply.text)
-
-
-def _token_spans(token_logprobs: list[tuple[str, float]]) -> list[tuple[int, int, float]]:
-    spans = []
-    pos = 0
-    for token, lp in token_logprobs:
-        spans.append((pos, pos + len(token), lp))
-        pos += len(token)
-    return spans
 
 
 def _sliced_line_logprobs(
@@ -195,22 +182,29 @@ def _sliced_line_logprobs(
 ) -> list[list[float]] | None:
     """Cut the reply's token log-probabilities at line boundaries.
 
-    Tokens are assigned to a line when their span overlaps the line's content
-    region (the part that survives decoration stripping), so newline and
-    bullet tokens drop out. Returns None when the token stream does not
-    reproduce the reply text.
+    Tokens are assigned to the first line whose content region (the part
+    that survives decoration stripping) their span overlaps, so newline and
+    bullet tokens drop out. ``line_spans`` are sorted and disjoint, so one
+    forward walk over the tokens meets each line in turn. Returns None when
+    the token stream does not reproduce the reply text.
     """
     if not reply.token_logprobs:
         return None
-    if "".join(tok for tok, _ in reply.token_logprobs) != reply.text:
+    if "".join([tok for tok, _ in reply.token_logprobs]) != reply.text:
         return None
-    spans = _token_spans(reply.token_logprobs)
     out: list[list[float]] = [[] for _ in line_spans]
-    for tok_start, tok_end, lp in spans:
-        for i, (start, end) in enumerate(line_spans):
-            if tok_start < end and tok_end > start:
-                out[i].append(lp)
-                break
+    n_lines = len(line_spans)
+    line = 0
+    tok_end = 0
+    for token, lp in reply.token_logprobs:
+        tok_start = tok_end
+        tok_end += len(token)
+        while line < n_lines and line_spans[line][1] <= tok_start:
+            line += 1
+        if line == n_lines:
+            break
+        if tok_end > line_spans[line][0]:
+            out[line].append(lp)
     return out
 
 
@@ -221,7 +215,7 @@ def _candidate_logprobs(
     kept: list[tuple[str, tuple[int, int]]],
 ) -> list[list[float]]:
     if backend.supports_rescoring:
-        return [list(backend.rescore(context, text)) for text, _ in kept]
+        return [backend.rescore(context, text) for text, _ in kept]
     sliced = _sliced_line_logprobs(reply, [span for _, span in kept])
     if sliced is not None:
         return [lps if lps else [0.0] for lps in sliced]
@@ -233,7 +227,7 @@ def _candidate(text: str, logprobs) -> CandidateAction:
     """A candidate from backend output; log-probabilities that are not finite
     and <= 0 are a bad reply, so they raise :class:`BackendError`."""
     try:
-        return CandidateAction(text, tuple(logprobs))
+        return CandidateAction(text, logprobs)
     except ValueError as exc:
         raise BackendError(f"policy returned bad log-probabilities for {text!r}: {exc}") from exc
 
@@ -252,9 +246,9 @@ def generate_candidates(
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
-    messages = list(context) + [{"role": "user", "content": candidate_generation(n_candidates)}]
+    messages = (*context, {"role": "user", "content": candidate_generation(n_candidates)})
     reply = backend.complete(
-        PolicyRequest(tuple(messages), temperature, n_candidates, PromptKind.CANDIDATE_LIST)
+        PolicyRequest(messages, temperature, n_candidates, PromptKind.CANDIDATE_LIST)
     )
 
     kept: list[tuple[str, tuple[int, int]]] = []
@@ -266,8 +260,9 @@ def generate_candidates(
         if text and text not in seen:
             seen.add(text)
             kept.append((text, (offset + start, offset + start + len(core))))
+            if len(kept) == n_candidates:
+                break
         offset += len(raw_line) + 1
-    kept = kept[:n_candidates]
     if not kept:
         return []
 
@@ -290,7 +285,7 @@ def greedy_action(
     if not text:
         raise BackendError("policy returned an empty greedy action")
     if backend.supports_rescoring:
-        lps = list(backend.rescore(context, text))
+        lps = backend.rescore(context, text)
     elif reply.token_logprobs:
         lps = [lp for _, lp in reply.token_logprobs]
     else:
@@ -354,7 +349,8 @@ class MockPolicy(PolicyBackend):
     :class:`ScriptExhaustedError` so tests fail loudly; ``loop=True`` cycles
     each queue, which keeps long harness runs scriptable with short files.
     An instance drives at most one episode at a time; its ``calls`` log makes
-    per-kind call accounting assertable.
+    per-kind call accounting assertable, and :meth:`fresh` gives the next
+    episode its own mock without re-reading the script.
     """
 
     def __init__(
@@ -363,19 +359,33 @@ class MockPolicy(PolicyBackend):
         rescores: dict[str, Sequence[float]] | None = None,
         loop: bool = False,
     ) -> None:
-        self.tokens_used = 0
         self.loop = loop
-        self.calls: list[PromptKind] = []
-        self.rescore_calls: int = 0
-        self._scripted: dict[PromptKind, list[ScriptEntry]] = {kind: [] for kind in PromptKind}
+        scripted: dict[PromptKind, list[ScriptEntry]] = {kind: [] for kind in PromptKind}
         for entry in entries:
-            self._scripted[entry.kind].append(entry)
-        self._cursor: dict[PromptKind, int] = {kind: 0 for kind in PromptKind}
+            scripted[entry.kind].append(entry)
+        self._scripted = {kind: tuple(queue) for kind, queue in scripted.items()}
         self._rescores = (
-            {normalize_action(k): [float(x) for x in v] for k, v in rescores.items()}
+            {normalize_action(k): tuple(float(x) for x in v) for k, v in rescores.items()}
             if rescores is not None
             else None
         )
+        self._start()
+
+    def _start(self) -> None:
+        self.tokens_used = 0
+        self.calls: list[PromptKind] = []
+        self.rescore_calls = 0
+        self._cursor = dict.fromkeys(PromptKind, 0)
+
+    def fresh(self) -> "MockPolicy":
+        """A new mock that replays this one's script from the start.
+
+        The script queues and the rescore table are shared, and no mock ever
+        changes them; the cursors, the call log and the counters are its own.
+        """
+        mock = copy.copy(self)
+        mock._start()
+        return mock
 
     @classmethod
     def from_file(cls, path) -> "MockPolicy":

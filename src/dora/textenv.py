@@ -14,6 +14,7 @@ next three steps.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -61,7 +62,7 @@ class KeyMazeWorld:
 
     def __init__(self, definition: dict | None = None) -> None:
         if definition is None:
-            definition = default_world_definition()
+            definition = _shipped_definition()
         self._check_definition(definition)
         self._def = definition
         self._started = False
@@ -246,8 +247,13 @@ def _join(names: Iterable[str]) -> str:
 
 
 def default_world_definition() -> dict:
+    """The shipped KeyMaze definition, parsed into a new dict on every call."""
     text = resources.files(__package__).joinpath("worlds/keymaze.json").read_text(encoding="utf-8")
     return json.loads(text)
+
+
+# Parsed once per process and shared by every default world; worlds only read it.
+_shipped_definition = functools.cache(default_world_definition)
 
 
 # -- telemetry ----------------------------------------------------------------

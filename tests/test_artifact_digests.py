@@ -81,3 +81,72 @@ def test_report_outputs_are_pinned(suites):
     root, _ = suites
     report(root / "runs", root / "report")
     assert tree_digest(root / "report") == REPORT_DIGEST
+
+
+# A KeyMaze script on the slicing path: decorated candidate lines, token
+# log-probabilities with newline tokens and tokens across line boundaries,
+# one token stream that does not reproduce its text, and no rescore table.
+SLICED_CANDIDATES = [
+    '1. go north\n2. "open chest"\n3) take key\n- look\n- go north\n\n* \'go east\'',
+    "- go south\n- “unlock door”\n(1) go west\n1] take key\n   go east  \n`look`",
+    "Here are options:\n> go north\n• open chest\n10. go south\n\t- 'unlock door'",
+    "go west\ngo east",
+]
+SLICED_GREEDY = ["1. go north", '"look"', "- open chest", "take key", "  go south\nlook"]
+SLICED_LAMBDAS = ['{"lambda":3.5}', "lambda please", "no idea", '{"lambda":12}', '{"lambda":0.25}']
+SLICED_MODES = ["EXPLORE", "EXPLORE", "GREEDY", "EXPLORE", "EXPLORE", "GREEDY"]
+
+# (agent, runs) -> digest of the suite's output directory; pinned after
+# REPORT_DIGEST, so these suites also run outside the reported directory.
+SLICED_SUITE_DIGESTS = {
+    ("dora_auto", 2): "feca2b41aa5ae1fad441b6a744150cd88116126ed12c670be1ef678f0ccfbde5",
+    ("llm_temp", 2): "44039922196ba2244a6efe264cc3be7aa3813c56b28d3cbdef09d9844e82be34",
+}
+
+
+def sliced_tokens(text: str, index: int) -> list:
+    """Cut ``text`` into tokens of 1-4 characters (with an empty token after
+    the second), each with a log-probability in [-0.87, -0.05]."""
+    widths = (1, 3, 2, 4, 1, 2)
+    tokens, pos, i = [], 0, 0
+    while pos < len(text):
+        width = widths[(i + index) % len(widths)]
+        tokens.append([text[pos : pos + width], -0.05 - 0.0625 * ((i * 7 + index) % 14)])
+        pos += width
+        i += 1
+        if i == 2:
+            tokens.append(["", -0.5])
+    return tokens
+
+
+def write_sliced_script(path: Path) -> Path:
+    entries = [{"kind": "mode", "text": json.dumps({"mode": m})} for m in SLICED_MODES]
+    for index, text in enumerate(SLICED_CANDIDATES):
+        tokens = sliced_tokens(text, index)
+        if index == len(SLICED_CANDIDATES) - 1:
+            tokens = tokens[:-1]  # this stream does not reproduce its text: flat candidates
+        entries.append({"kind": "candidates", "text": text, "token_logprobs": tokens})
+    entries += [{"kind": "lambda", "text": text} for text in SLICED_LAMBDAS]
+    entries += [{"kind": "greedy", "text": text} for text in SLICED_GREEDY]
+    path.write_text(json.dumps({"loop": True, "entries": entries}), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def sliced_suites(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sliced")
+    script = write_sliced_script(root / "sliced_keymaze_script.json")
+    dirs = {}
+    for agent, runs in SLICED_SUITE_DIGESTS:
+        out = root / "unreported" / f"sliced_{agent}"
+        config = load_demo_config("keymaze_dora_mock.json", agent, runs, out)
+        config.backend = f"mock:{script}"
+        config.n_candidates = 4
+        run_suite(config)
+        dirs[agent, runs] = out
+    return dirs
+
+
+@pytest.mark.parametrize("key", list(SLICED_SUITE_DIGESTS), ids=lambda k: f"sliced:{k[0]}")
+def test_sliced_keymaze_artifacts_are_pinned(sliced_suites, key):
+    assert tree_digest(sliced_suites[key]) == SLICED_SUITE_DIGESTS[key]

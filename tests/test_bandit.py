@@ -379,6 +379,17 @@ class TestBanditEnv:
             env.step(press_action(2))
         assert env.to_run().rewards == direct.rewards
 
+    def test_score_is_reward_total_over_horizon_at_every_step(self):
+        instance = make_hard_instance(5, 0.2, 40, seed=57)
+        env = BanditEnv(instance, seed=57)
+        for _ in range(2):  # a reset starts the total from zero again
+            env.reset()
+            for t in range(40):
+                action = "dance" if t % 7 == 3 else press_action(t % 5)
+                step = env.step(action)
+                assert step.score == sum(env.rewards) / 40
+            assert step.score == env.to_run().rewards.count(1) / 40
+
     def test_step_past_horizon_raises(self):
         instance = make_hard_instance(5, 0.2, 2, seed=59)
         env = BanditEnv(instance, seed=59)

@@ -19,6 +19,7 @@ from dora.harness import (
     report,
     run_suite,
 )
+from dora.policy import PolicyRequest, PromptKind
 
 BANDIT_ACTIONS = "press blue button\npress green button\npress red button\npress yellow button\npress purple button"
 
@@ -286,6 +287,137 @@ class TestWorkerDefault:
             run_suite(serial)
             run_suite(pooled)
             assert tree_bytes(Path(serial.output_dir)) == tree_bytes(Path(pooled.output_dir))
+
+
+HI = ({"role": "user", "content": "hi"},)
+
+
+class TestMockBackendFactory:
+    def factory(self, tmp_path, script):
+        return ExperimentConfig.from_dict(
+            {"agent": "dora_scheduled", "backend": f"mock:{script}", "output_dir": str(tmp_path)}
+        ).backend_factory()
+
+    def test_mocks_from_one_factory_share_no_state(self, tmp_path):
+        script = tmp_path / "modes.json"
+        modes = [{"kind": "mode", "text": f'{{"mode":"{m}"}}'} for m in ("EXPLORE", "GREEDY")]
+        script.write_text(json.dumps({"rescores": {"look": [-0.5]}, "entries": modes}))
+        make = self.factory(tmp_path, script)
+        request = PolicyRequest(HI, 0.2, 1, PromptKind.MODE_DECISION)
+        first = make()
+        assert first.complete(request).text == '{"mode":"EXPLORE"}'
+        first.rescore((), "look")
+        second = make()
+        assert (second.calls, second.rescore_calls, second.tokens_used) == ([], 0, 0)
+        assert second.complete(request).text == '{"mode":"EXPLORE"}'
+        assert first.complete(request).text == '{"mode":"GREEDY"}'
+        assert (len(first.calls), first.rescore_calls, first.tokens_used) == (2, 1, 2)
+        assert (len(second.calls), second.rescore_calls, second.tokens_used) == (1, 0, 1)
+
+    def test_script_is_read_once_per_factory(self, tmp_path, monkeypatch):
+        reads = []
+        from_file = harness.MockPolicy.from_file
+
+        def counted(path):
+            reads.append(path)
+            return from_file(path)
+
+        monkeypatch.setattr(harness.MockPolicy, "from_file", counted)
+        make = self.factory(tmp_path, write_bandit_mock(tmp_path / "script.json"))
+        assert reads == []
+        mocks = [make() for _ in range(3)]
+        assert len(reads) == 1 and len({id(m) for m in mocks}) == 3
+
+    def test_factory_is_safe_across_threads(self, tmp_path):
+        # Eight threads on a short switch interval each take a mock from one
+        # factory and drive it; a shared cursor or call log would interleave.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        make = self.factory(tmp_path, write_bandit_mock(tmp_path / "script.json"))
+        kinds = [PromptKind.MODE_DECISION, PromptKind.CANDIDATE_LIST, PromptKind.MAB_ANSWER] * 50
+
+        def drive(_):
+            mock = make()
+            return mock, [mock.complete(PolicyRequest(HI, 0.2, 1, kind)).text for kind in kinds]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(drive, range(32), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = drive(0)[1]
+        assert len({id(mock) for mock, _ in results}) == 32
+        for mock, replies in results:
+            assert replies == expected
+            assert mock.calls == kinds
+
+    def test_pooled_keymaze_mock_suite_matches_serial(self, tmp_path):
+        script = write_keymaze_mock(tmp_path / "km.json")
+        dirs = []
+        for workers in (1, 3):
+            out = tmp_path / f"w{workers}"
+            config = {
+                "suite": "keymaze",
+                "agent": "dora_auto",
+                "runs": 4,
+                "max_steps": 12,
+                "backend": f"mock:{script}",
+                "workers": workers,
+                "output_dir": str(out),
+            }
+            run_suite(ExperimentConfig.from_dict(config))
+            dirs.append(out)
+        assert tree_bytes(dirs[0]) == tree_bytes(dirs[1])
+
+
+BAD_SCRIPTS = {
+    "unknown_kind": (
+        '{"loop": true, "entries": [{"kind": "mode", "text": "x"}, {"kind": "bogus", "text": "y"}]}',
+        "MockScriptError",
+        "unknown script entry kind 'bogus' in {path}",
+    ),
+    "not_json": (
+        '{"loop": true, "entries": [',
+        "JSONDecodeError",
+        "Expecting value: line 1 column 28 (char 27)",
+    ),
+}
+
+
+class TestBadMockScript:
+    @pytest.mark.parametrize("workers", [None, 3])
+    @pytest.mark.parametrize("name", list(BAD_SCRIPTS))
+    def test_every_run_fails_and_is_recorded(self, tmp_path, name, workers):
+        text, kind, message = BAD_SCRIPTS[name]
+        script = tmp_path / f"{name}.json"
+        script.write_text(text)
+        config = {
+            "agent": "dora_scheduled",
+            "runs": 3,
+            "horizon": 5,
+            "workers": workers,
+            "backend": f"mock:{script}",
+            "output_dir": str(tmp_path / "out"),
+        }
+        artifacts = run_suite(ExperimentConfig.from_dict(config))
+        assert not artifacts.complete and artifacts.run_files == []
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        error = message.format(path=script)
+        assert summary["failures"] == [{"run": i, "kind": kind, "error": error} for i in range(3)]
+        assert summary["incomplete"] is True and summary["completed"] == 0
+
+    @pytest.mark.parametrize("name", list(BAD_SCRIPTS))
+    def test_cli_exits_partial(self, tmp_path, name, capsys):
+        text, kind, _ = BAD_SCRIPTS[name]
+        script = tmp_path / f"{name}.json"
+        script.write_text(text)
+        args = ["--agent", "dora_scheduled", "--backend", f"mock:{script}", "--runs", "2"]
+        code = main(["bandit", "run", *args, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"run 1 failed ({kind})" in capsys.readouterr().out
 
 
 class TestKeymazeSuite:

@@ -300,6 +300,32 @@ class TestMockPolicy:
         mock.rescore(CTX, "look").append(-1.0)
         assert mock.rescore(CTX, "look") == [-0.9]
 
+    def test_fresh_mock_replays_from_the_start(self):
+        template = MockPolicy(
+            [ScriptEntry.greedy("go north"), ScriptEntry.greedy("look")],
+            rescores={"go north": [-0.5], "look": [-0.9]},
+        )
+        first = template.fresh()
+        assert greedy_action(first, CTX).text == "go north"
+        second = template.fresh()
+        assert (second.calls, second.rescore_calls, second.tokens_used) == ([], 0, 0)
+        assert greedy_action(second, CTX).text == "go north"
+        assert greedy_action(first, CTX).text == "look"
+        assert (first.calls, first.rescore_calls) == ([PromptKind.GREEDY_ACTION] * 2, 2)
+        assert (second.calls, second.rescore_calls) == ([PromptKind.GREEDY_ACTION], 1)
+        assert (first.tokens_used, second.tokens_used) == (3, 2)
+        assert (template.calls, template.rescore_calls, template.tokens_used) == ([], 0, 0)
+
+    def test_mutating_a_reply_does_not_change_later_replies(self):
+        tokens = [("go", -0.1), (" north", -0.2)]
+        mock = MockPolicy([ScriptEntry.candidates(["go north"], tokens)], loop=True)
+        request = PolicyRequest(CTX, 0.7, 5, PromptKind.CANDIDATE_LIST)
+        reply = mock.complete(request)
+        reply.token_logprobs[0] = ("stop", -9.0)
+        reply.token_logprobs.append(("!", -1.0))
+        assert mock.complete(request).token_logprobs == tokens
+        assert mock.fresh().complete(request).token_logprobs == tokens
+
     def test_answer_entry_shape(self):
         entry = ScriptEntry.answer("blue")
         assert entry.text == "<Answer>I will press blue button</Answer>"

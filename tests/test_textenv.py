@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from dora import textenv
 from dora.agent import EpisodeLog, StepRecord
 from dora.policy import Mode
 from dora.textenv import (
@@ -208,6 +209,38 @@ class TestKeyMazeMechanics:
         definition["rewards"]["open chest"] = 0.9
         with pytest.raises(ValueError):
             KeyMazeWorld(definition)
+
+
+class TestSharedDefaultWorld:
+    def test_full_episode_leaves_the_shared_definition_unchanged(self):
+        world = KeyMazeWorld()
+        world.reset()
+        for action in ["look", "help", "take key", "unlock door", *OPTIMAL_PATH]:
+            step = world.step(action)
+        assert step.terminal
+        world.reset()
+        world.step("go north")
+        world.step("open chest")
+        assert world._def is textenv._shipped_definition()
+        assert textenv._shipped_definition() == default_world_definition()
+
+    def test_mutating_a_returned_definition_does_not_reach_new_worlds(self):
+        first = KeyMazeWorld().reset()
+        definition = default_world_definition()
+        assert definition is not default_world_definition()
+        definition["rooms"][definition["start"]]["description"] = "A changed room."
+        definition["objects"].clear()
+        definition["rewards"].clear()
+        world = KeyMazeWorld()
+        assert world.reset() == first
+        scores = [world.step(action).score for action in OPTIMAL_PATH]
+        assert scores[-1] == pytest.approx(1.0)
+
+    def test_world_files_still_parse_per_world(self, tmp_path):
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(default_world_definition()))
+        a, b = KeyMazeWorld.from_file(path), KeyMazeWorld.from_file(path)
+        assert a._def == b._def and a._def is not b._def
 
 
 class TestUniqueStates:
