@@ -16,7 +16,9 @@ from .agent import (
     UsedActionRegistry,
     build_text_context,
     dora_step,
+    drive_episode,
     run_episode,
+    temperature_step,
 )
 from .bandit import (
     ARM_COLORS,
@@ -36,7 +38,6 @@ from .bandit import (
     decaying_temperature,
     make_hard_instance,
     make_mab_context_builder,
-    mab_dora_params,
     parse_answer_envelope,
     press_action,
     run_bandit,
@@ -49,7 +50,6 @@ from .lambda_control import (
     ScheduledLambda,
     extract_lambda,
     lambda_exp,
-    parse_lambda_reply,
 )
 from .policy import (
     BackendError,
@@ -64,6 +64,7 @@ from .policy import (
     ScriptEntry,
     ScriptExhaustedError,
     decide_mode,
+    first_action,
     generate_candidates,
     greedy_action,
     normalize_action,

@@ -1,4 +1,4 @@
-"""Per-step explore/greedy orchestration and episode running.
+"""Per-step explore/greedy orchestration and the one episode loop of every text agent.
 
 One step: build the context from history and the current observation,
 ask the policy whether to be greedy or to explore; when exploring, pick a
@@ -6,6 +6,10 @@ lambda (scheduled or policy-sampled), generate candidates, drop the ones
 already tried under this observation, score the rest, and sample from the
 lambda-softmax; otherwise decode one greedy action. The chosen action is
 always recorded in the per-observation used-action set.
+
+:func:`drive_episode` runs any step policy against an environment;
+:func:`run_episode` drives the DORA step and :func:`temperature_step` is the
+plain temperature-scaled baseline over the same context.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .policy import (
     PolicyRequest,
     PromptKind,
     decide_mode,
+    first_action,
     generate_candidates,
     greedy_action,
 )
@@ -138,7 +143,7 @@ def _resolve_lambda(
         return lambda_exp(sched, t), False
     lo, hi = lambda_source.bounds
     messages = (*context, {"role": "user", "content": prompts.lambda_decision(lo, hi)})
-    request = PolicyRequest(messages, params.tau_lambda, 1, PromptKind.LAMBDA_DECISION)
+    request = PolicyRequest(messages, params.tau_lambda, PromptKind.LAMBDA_DECISION)
     for _ in range(params.lambda_retries + 1):
         value = extract_lambda(backend.complete(request).text)
         if value is not None:
@@ -257,43 +262,29 @@ class EpisodeLog:
         return len(self.steps)
 
 
-def run_episode(
-    backend: PolicyBackend,
-    env,
-    lambda_source: LambdaSource,
-    params: DoraParams,
-    max_steps: int,
-    rng: np.random.Generator,
-    context_builder: ContextBuilder | None = None,
-    seed: int | None = None,
+StepPolicy = Callable[[Sequence[HistoryTriple], str, int], StepRecord]
+
+
+def drive_episode(
+    backend: PolicyBackend, env, step: StepPolicy, max_steps: int, seed: int | None = None
 ) -> EpisodeLog:
-    """Drive the agent against ``env`` until terminal or ``max_steps``.
+    """Drive ``step(history, observation, t)`` against ``env`` until terminal or ``max_steps``.
 
     The environment contract is ``reset(seed) -> observation`` and
     ``step(action) -> TextEnvStep``. Environment errors abort the episode
-    with the log flagged as partial.
+    with the log flagged as partial. ``backend`` is the step's backend, read
+    only for the episode's token count.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
 
     observation = env.reset(seed)
-    registry = UsedActionRegistry()
     history: list[HistoryTriple] = []
     log = EpisodeLog(observations=[observation], seed=seed)
     tokens_before = backend.tokens_used
 
     for t in range(max_steps):
-        record = dora_step(
-            backend,
-            lambda_source,
-            registry,
-            history,
-            observation,
-            params,
-            rng,
-            step=t,
-            context_builder=context_builder,
-        )
+        record = step(history, observation, t)
         log.steps.append(record)
         try:
             result = env.step(record.chosen_action)
@@ -312,3 +303,48 @@ def run_episode(
     log.truncated = not log.terminal and not log.partial
     log.token_count = backend.tokens_used - tokens_before
     return log
+
+
+def run_episode(
+    backend: PolicyBackend,
+    env,
+    lambda_source: LambdaSource,
+    params: DoraParams,
+    max_steps: int,
+    rng: np.random.Generator,
+    context_builder: ContextBuilder | None = None,
+    seed: int | None = None,
+) -> EpisodeLog:
+    """Drive the DORA agent (:func:`dora_step` with one used-action registry
+    per episode) against ``env``; see :func:`drive_episode`."""
+    registry = UsedActionRegistry()
+
+    def step(history: Sequence[HistoryTriple], observation: str, t: int) -> StepRecord:
+        return dora_step(
+            backend,
+            lambda_source,
+            registry,
+            history,
+            observation,
+            params,
+            rng,
+            step=t,
+            context_builder=context_builder,
+        )
+
+    return drive_episode(backend, env, step, max_steps, seed)
+
+
+def temperature_step(
+    backend: PolicyBackend, params: DoraParams, temperature: Callable[[int], float]
+) -> StepPolicy:
+    """Plain temperature-scaled decoding over DORA's context: one greedy-action
+    request at ``temperature(t)`` per step, acting on the first non-empty line
+    of the reply, or ``""`` when there is none. Backend errors propagate."""
+
+    def step(history: Sequence[HistoryTriple], observation: str, t: int) -> StepRecord:
+        context = build_text_context(history, observation, params)
+        reply = backend.complete(PolicyRequest(context, temperature(t), PromptKind.GREEDY_ACTION))
+        return StepRecord(t, observation, Mode.GREEDY, first_action(reply.text))
+
+    return step

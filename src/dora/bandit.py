@@ -330,7 +330,7 @@ class TemperaturePolicyAgent(_EmpiricalMeans):
         self.steps_taken += 1
         try:
             reply = self.backend.complete(
-                PolicyRequest(context, self._tau(t), 1, PromptKind.MAB_ANSWER)
+                PolicyRequest(context, self._tau(t), PromptKind.MAB_ANSWER)
             )
         except BackendError:
             return None
@@ -451,10 +451,3 @@ def make_mab_context_builder(instance: BanditInstance) -> Callable:
 
     return build
 
-
-def mab_dora_params(**overrides) -> DoraParams:
-    """Defaults for explore/greedy agents on the bandit: greedy replies use the
-    answer envelope and an unparseable step maps to an invalid action."""
-    base = dict(greedy_kind=PromptKind.MAB_ANSWER, invalid_action="")
-    base.update(overrides)
-    return DoraParams(**base)

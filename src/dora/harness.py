@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .agent import DoraParams, EpisodeLog, run_episode
+from .agent import DoraParams, EpisodeLog, drive_episode, run_episode, temperature_step
 from .bandit import (
     ARM_COLORS,
     INVALID_PULL,
@@ -35,11 +37,10 @@ from .bandit import (
     decaying_temperature,
     make_hard_instance,
     make_mab_context_builder,
-    mab_dora_params,
     run_bandit,
 )
 from .lambda_control import LambdaSchedule, PolicySampledLambda, ScheduledLambda
-from .policy import BackendError, MockPolicy, PolicyRequest, PromptKind, RemotePolicy, normalize_action
+from .policy import BackendError, MockPolicy, PromptKind, RemotePolicy
 from .textenv import KeyMazeWorld, loop_stats
 
 SCHEMA_VERSION = 1
@@ -136,6 +137,11 @@ class ExperimentConfig:
                 raise ConfigError(f"mock script not found: {script}")
         if self.world is not None and not Path(self.world).is_file():
             raise ConfigError(f"world file not found: {self.world}")
+        tau = self.temperature
+        if tau != "decay" and not (type(tau) in (int, float) and math.isfinite(tau) and tau >= 0):
+            raise ConfigError(f"temperature must be 'decay' or a finite number >= 0, got {tau!r}")
+        if self.max_steps is not None and not (type(self.max_steps) is int and self.max_steps >= 1):
+            raise ConfigError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
     def backend_factory(self):
         """Fresh backend per run (the mock is single-episode by contract).
@@ -165,6 +171,13 @@ class ExperimentConfig:
             tau_lambda=self.tau_lambda,
             greedy_kind=greedy_kind,
         )
+
+    def temperature_schedule(self, horizon: int) -> Callable[[int], float]:
+        """The temperature baseline's tau(t): constant, or decaying to 0 over ``horizon``."""
+        if self.temperature == "decay":
+            return decaying_temperature(horizon)
+        fixed = float(self.temperature)
+        return lambda t: fixed
 
     def lambda_source(self, horizon: int):
         if self.agent == "dora_auto":
@@ -266,11 +279,7 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
     if config.agent in CLASSICAL_AGENTS:
         run = run_bandit(_classical_policy(config.agent), instance, seed)
     elif config.agent == "llm_temp":
-        temperature = (
-            decaying_temperature(config.horizon)
-            if config.temperature == "decay"
-            else float(config.temperature)
-        )
+        temperature = config.temperature_schedule(config.horizon)
         run = run_bandit(TemperaturePolicyAgent(backend_factory(), temperature), instance, seed)
     else:
         backend = backend_factory()
@@ -279,13 +288,7 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
             backend,
             env,
             config.lambda_source(config.horizon),
-            mab_dora_params(
-                n_candidates=config.n_candidates,
-                alpha=config.alpha,
-                tau_decision=config.tau_decision,
-                tau_candidates=config.tau_candidates,
-                tau_lambda=config.tau_lambda,
-            ),
+            config.dora_params(PromptKind.MAB_ANSWER),
             max_steps=config.horizon,
             rng=np.random.default_rng([seed, 2]),
             context_builder=make_mab_context_builder(instance),
@@ -332,49 +335,6 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
     return lines, metrics_dict
 
 
-def _run_keymaze_llm_temp(config: ExperimentConfig, backend, world, max_steps: int, seed: int):
-    """Plain single-action prompting at a fixed or decaying temperature."""
-    from . import prompts
-
-    if config.temperature == "decay":
-        tau = decaying_temperature(max_steps)
-    else:
-        fixed = float(config.temperature)
-        tau = lambda t: fixed  # noqa: E731 - trivial closure
-    observation = world.reset(seed)
-    log = EpisodeLog(observations=[observation], seed=seed)
-    history = []
-    for t in range(max_steps):
-        context = [{"role": "system", "content": prompts.zero_shot()}]
-        for obs, act in history[-20:]:
-            context.append({"role": "user", "content": obs})
-            context.append({"role": "assistant", "content": act})
-        context.append({"role": "user", "content": observation})
-        reply = backend.complete(
-            PolicyRequest(tuple(context), tau(t), 1, PromptKind.GREEDY_ACTION)
-        )
-        action = ""
-        for line in reply.text.split("\n"):
-            action = normalize_action(line)
-            if action:
-                break
-        from .agent import Mode, StepRecord
-
-        log.steps.append(StepRecord(t, observation, Mode.GREEDY, action))
-        result = world.step(action)
-        log.rewards.append(result.reward)
-        log.observations.append(result.observation)
-        log.score = result.score
-        history.append((observation, action))
-        observation = result.observation
-        if result.terminal:
-            log.terminal = True
-            break
-    log.truncated = not log.terminal
-    log.token_count = backend.tokens_used
-    return log
-
-
 def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
     seed = config.master_seed + run_index
     world = (
@@ -382,15 +342,17 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
     )
     max_steps = config.max_steps or world.horizon
     backend = backend_factory()
+    params = config.dora_params(PromptKind.GREEDY_ACTION)
 
     if config.agent == "llm_temp":
-        episode = _run_keymaze_llm_temp(config, backend, world, max_steps, seed)
+        step = temperature_step(backend, params, config.temperature_schedule(max_steps))
+        episode = drive_episode(backend, world, step, max_steps, seed)
     else:
         episode = run_episode(
             backend,
             world,
             config.lambda_source(max_steps),
-            config.dora_params(PromptKind.GREEDY_ACTION),
+            params,
             max_steps=max_steps,
             rng=np.random.default_rng([seed, 2]),
             seed=seed,

@@ -119,14 +119,3 @@ def extract_lambda(raw_text: str) -> float | None:
         return None
     return value
 
-
-def parse_lambda_reply(raw_text: str, bounds: tuple[float, float], fallback: float) -> float:
-    """Parse a policy-sampled lambda reply; clamp into bounds; fall back on any failure.
-
-    Never raises and never returns a value outside ``bounds``.
-    """
-    lo, hi = bounds
-    value = extract_lambda(raw_text)
-    if value is None:
-        value = fallback
-    return min(max(value, lo), hi)

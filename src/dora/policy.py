@@ -68,7 +68,6 @@ class PolicyRequest:
 
     context: tuple[dict, ...]
     temperature: float
-    max_candidates: int = 1
     prompt_kind: PromptKind = PromptKind.GREEDY_ACTION
 
     def __post_init__(self) -> None:
@@ -78,8 +77,6 @@ class PolicyRequest:
         t = float(self.temperature)
         if not math.isfinite(t) or t < 0.0:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
 
 
 @dataclass
@@ -159,6 +156,15 @@ def normalize_action(text: str) -> str:
     return " ".join(core.lower().split())
 
 
+def first_action(text: str) -> str:
+    """The first line of a reply that normalizes to a non-empty action, or ``""``."""
+    for line in text.split("\n"):
+        action = normalize_action(line)
+        if action:
+            return action
+    return ""
+
+
 # --- reply parsing ----------------------------------------------------------
 
 
@@ -173,7 +179,7 @@ def parse_mode_reply(text: str) -> Mode:
 def decide_mode(backend: PolicyBackend, context: Sequence[dict], temperature: float = 0.2) -> Mode:
     """Ask the policy whether to act greedily or explore."""
     messages = (*context, {"role": "user", "content": mode_decision()})
-    reply = backend.complete(PolicyRequest(messages, temperature, 1, PromptKind.MODE_DECISION))
+    reply = backend.complete(PolicyRequest(messages, temperature, PromptKind.MODE_DECISION))
     return parse_mode_reply(reply.text)
 
 
@@ -247,9 +253,7 @@ def generate_candidates(
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
     messages = (*context, {"role": "user", "content": candidate_generation(n_candidates)})
-    reply = backend.complete(
-        PolicyRequest(messages, temperature, n_candidates, PromptKind.CANDIDATE_LIST)
-    )
+    reply = backend.complete(PolicyRequest(messages, temperature, PromptKind.CANDIDATE_LIST))
 
     kept: list[tuple[str, tuple[int, int]]] = []
     seen: set[str] = set()
@@ -276,12 +280,8 @@ def greedy_action(
     prompt_kind: PromptKind = PromptKind.GREEDY_ACTION,
 ) -> CandidateAction:
     """Decode a single action at temperature 0 and normalize it."""
-    reply = backend.complete(PolicyRequest(tuple(context), 0.0, 1, prompt_kind))
-    text = ""
-    for line in reply.text.split("\n"):
-        text = normalize_action(line)
-        if text:
-            break
+    reply = backend.complete(PolicyRequest(tuple(context), 0.0, prompt_kind))
+    text = first_action(reply.text)
     if not text:
         raise BackendError("policy returned an empty greedy action")
     if backend.supports_rescoring:

@@ -13,10 +13,6 @@ ASSET_NAMES = (
     "mab_system",
     "mab_history",
     "zero_shot",
-    "zero_shot_cot",
-    "tree_of_thought",
-    "react",
-    "prompt_explore",
     "mode_decision",
     "candidate_generation",
     "lambda_decision",

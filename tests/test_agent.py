@@ -14,7 +14,9 @@ from dora.agent import (
     UsedActionRegistry,
     build_text_context,
     dora_step,
+    drive_episode,
     run_episode,
+    temperature_step,
 )
 from dora.bandit import BanditEnv, make_hard_instance, make_mab_context_builder, press_action
 from dora.lambda_control import LambdaSchedule, PolicySampledLambda, ScheduledLambda
@@ -26,7 +28,7 @@ from dora.policy import (
     PromptKind,
     ScriptEntry,
 )
-from dora.textenv import KeyMazeWorld
+from dora.textenv import NOTHING_HAPPENS, KeyMazeWorld
 
 OBS = "you are in a room"
 FLAT_LAMBDA = ScheduledLambda(LambdaSchedule(0.0, 0.0, k=5.0, horizon=100))
@@ -415,7 +417,69 @@ class TestRunEpisode:
         assert len({a for a in pulls[:50]}) >= 4  # early diversity
 
 
-def make_params_for_bandit() -> DoraParams:
-    from dora.bandit import mab_dora_params
+class RecordingMock(MockPolicy):
+    """A mock that keeps every request it answers."""
 
-    return mab_dora_params(n_candidates=5)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return super().complete(request)
+
+
+class TestTemperatureStep:
+    PARAMS = DoraParams(system_prompt="play the game")
+
+    @staticmethod
+    def tau(t: int) -> float:
+        return 1.0 / (t + 1)
+
+    def play(self, replies, max_steps):
+        mock = RecordingMock([ScriptEntry.greedy(text) for text in replies])
+        step = temperature_step(mock, self.PARAMS, self.tau)
+        log = drive_episode(mock, KeyMazeWorld(), step, max_steps, seed=3)
+        return log, mock.requests
+
+    def test_backend_sees_the_dora_context(self):
+        # "open chest" is rewarded, so the next context carries a reward line;
+        # 25 steps fill the 20-turn window.
+        replies = ["go north", "open chest"] + ["look"] * 23
+        log, requests = self.play(replies, 25)
+        assert log.num_steps == len(requests) == 25
+        assert log.rewards[1] == 0.25
+        for t, request in enumerate(requests):
+            history = [
+                (log.observations[k], log.steps[k].chosen_action, log.rewards[k])
+                for k in range(t)
+            ]
+            expected = build_text_context(history, log.observations[t], self.PARAMS)
+            assert request.context == tuple(expected)
+            assert request.temperature == self.tau(t)
+            assert request.prompt_kind is PromptKind.GREEDY_ACTION
+        assert requests[2].context[-1]["content"].startswith("[reward: 0.25]\n")
+        assert len(requests[-1].context) == 1 + 2 * self.PARAMS.history_window + 1
+
+    def test_first_action_line_is_played(self):
+        log, _ = self.play(['\n- \n1. "Go North"\nlook'], 1)
+        record = log.steps[0]
+        assert (record.chosen_action, record.mode, record.lam, record.candidates) == (
+            "go north", Mode.GREEDY, None, None
+        )
+        assert "storage room" in log.observations[1]
+
+    def test_reply_without_an_action_line_steps_with_empty_action(self):
+        log, _ = self.play(["\n  \n- \n"], 1)
+        assert log.steps[0].chosen_action == ""
+        assert log.steps[0].fallback_reason is None
+        assert log.observations[1] == NOTHING_HAPPENS
+
+    def test_backend_error_propagates(self):
+        step = temperature_step(FailingBackend(), self.PARAMS, self.tau)
+        with pytest.raises(BackendError):
+            drive_episode(FailingBackend(), KeyMazeWorld(), step, 3)
+
+
+def make_params_for_bandit() -> DoraParams:
+    return DoraParams(n_candidates=5, greedy_kind=PromptKind.MAB_ANSWER)

@@ -19,6 +19,7 @@ from dora.harness import (
     report,
     run_suite,
 )
+from dora.bandit import decaying_temperature
 from dora.policy import PolicyRequest, PromptKind
 
 BANDIT_ACTIONS = "press blue button\npress green button\npress red button\npress yellow button\npress purple button"
@@ -102,6 +103,14 @@ class TestExperimentConfig:
         )
         with pytest.raises(ConfigError):
             config.backend_factory()
+
+    def test_temperature_schedule(self):
+        decay = ExperimentConfig(temperature="decay").temperature_schedule(50)
+        reference = decaying_temperature(50)
+        assert [decay(t) for t in (0, 25, 50)] == [reference(t) for t in (0, 25, 50)]
+        fixed = ExperimentConfig(temperature=1).temperature_schedule(50)
+        assert fixed(0) == fixed(49) == 1.0
+        assert type(fixed(0)) is float
 
     def test_bad_suite_and_runs(self):
         with pytest.raises(ConfigError):
@@ -303,7 +312,7 @@ class TestMockBackendFactory:
         modes = [{"kind": "mode", "text": f'{{"mode":"{m}"}}'} for m in ("EXPLORE", "GREEDY")]
         script.write_text(json.dumps({"rescores": {"look": [-0.5]}, "entries": modes}))
         make = self.factory(tmp_path, script)
-        request = PolicyRequest(HI, 0.2, 1, PromptKind.MODE_DECISION)
+        request = PolicyRequest(HI, 0.2, PromptKind.MODE_DECISION)
         first = make()
         assert first.complete(request).text == '{"mode":"EXPLORE"}'
         first.rescore((), "look")
@@ -339,7 +348,7 @@ class TestMockBackendFactory:
 
         def drive(_):
             mock = make()
-            return mock, [mock.complete(PolicyRequest(HI, 0.2, 1, kind)).text for kind in kinds]
+            return mock, [mock.complete(PolicyRequest(HI, 0.2, kind)).text for kind in kinds]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -704,6 +713,45 @@ class TestCli:
             ]
         )
         assert code == 3
+
+    def write_llm_temp_config(self, tmp_path, **extra) -> str:
+        script = tmp_path / "temp.json"
+        script.write_text(
+            json.dumps({"loop": True, "entries": [{"kind": "greedy", "text": "go east"}]})
+        )
+        cfg = tmp_path / "cfg.json"
+        config = {
+            "agent": "llm_temp",
+            "runs": 1,
+            "backend": f"mock:{script}",
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg.write_text(json.dumps(dict(config, **extra)))
+        return str(cfg)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("temperature", "hot"),
+            ("temperature", -1.0),
+            ("temperature", float("inf")),
+            ("temperature", float("nan")),
+            ("temperature", True),
+            ("max_steps", 0),
+            ("max_steps", -2),
+            ("max_steps", 2.5),
+        ],
+    )
+    def test_bad_temperature_or_max_steps_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = self.write_llm_temp_config(tmp_path, **{key: value})
+        assert main(["keymaze", "run", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [{"temperature": 0, "max_steps": 1}, {"temperature": 0.7}])
+    def test_good_temperature_and_max_steps_run(self, tmp_path, extra):
+        cfg = self.write_llm_temp_config(tmp_path, **extra)
+        assert main(["keymaze", "run", "--config", cfg]) == 0
 
     def test_unreachable_remote_is_backend_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DORA_API_BASE", "http://127.0.0.1:9")

@@ -1,4 +1,4 @@
-"""Exploration-degree selection: the exponential schedule and reply parsing."""
+"""Exploration-degree selection: the exponential schedule and policy-sampled replies."""
 
 from __future__ import annotations
 
@@ -7,14 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from dora.agent import DoraParams, FallbackReason, StepRecord, UsedActionRegistry, dora_step
 from dora.lambda_control import (
     LambdaSchedule,
     PolicySampledLambda,
     ScheduledLambda,
     extract_lambda,
     lambda_exp,
-    parse_lambda_reply,
 )
+from dora.policy import MockPolicy, PromptKind, ScriptEntry
 
 MAB_SCHEDULE = LambdaSchedule(lambda_min=0.0, lambda_max=40.0, k=5.0, horizon=200)
 
@@ -66,32 +67,60 @@ class TestLambdaSchedule:
 
 
 class TestParseLambdaReply:
+    """A policy-sampled lambda reply as an explore step resolves it: parsed by
+    ``extract_lambda``, clamped into the source's bounds, and replaced by the
+    midpoint of the bounds when it still does not parse after the retry."""
+
     BOUNDS = (0.0, 40.0)
 
+    @staticmethod
+    def explore(raw: str, bounds=BOUNDS) -> tuple[StepRecord, MockPolicy]:
+        mock = MockPolicy(
+            [
+                ScriptEntry.mode("EXPLORE"),
+                ScriptEntry(PromptKind.LAMBDA_DECISION, raw),
+                ScriptEntry.candidates(["go north", "look"]),
+            ],
+            loop=True,
+        )
+        record = dora_step(
+            mock,
+            PolicySampledLambda(bounds),
+            UsedActionRegistry(),
+            [],
+            "a room",
+            DoraParams(system_prompt="play"),
+            np.random.default_rng(0),
+        )
+        return record, mock
+
     def test_strict_json(self):
-        assert parse_lambda_reply('{"lambda":0.5}', self.BOUNDS, 20.0) == 0.5
+        record, _ = self.explore('{"lambda":0.5}')
+        assert (record.lam, record.fallback_reason) == (0.5, None)
 
     def test_clamps_to_upper_bound(self):
-        assert parse_lambda_reply('{"lambda":99}', self.BOUNDS, 20.0) == 40.0
+        assert self.explore('{"lambda":99}')[0].lam == 40.0
 
     def test_clamps_to_lower_bound(self):
-        assert parse_lambda_reply('{"lambda":-3}', (1.0, 40.0), 20.0) == 1.0
+        assert self.explore('{"lambda":-3}', (1.0, 40.0))[0].lam == 1.0
 
     def test_prose_falls_back(self):
-        assert parse_lambda_reply("I choose lambda 3", self.BOUNDS, 20.0) == 20.0
+        record, mock = self.explore("I choose lambda 3")
+        assert record.lam == 20.0
+        assert record.fallback_reason is FallbackReason.PARSE_FAILURE
+        assert mock.call_counts[PromptKind.LAMBDA_DECISION] == 2
 
     def test_whitespace_and_embedded_object(self):
-        assert parse_lambda_reply('  {"lambda": 2.25}\n', self.BOUNDS, 20.0) == 2.25
-        assert parse_lambda_reply('sure: {"lambda": 7} ok?', self.BOUNDS, 20.0) == 7.0
+        assert self.explore('  {"lambda": 2.25}\n')[0].lam == 2.25
+        assert self.explore('sure: {"lambda": 7} ok?')[0].lam == 7.0
 
     def test_wrong_types_fall_back(self):
-        assert parse_lambda_reply('{"lambda":"high"}', self.BOUNDS, 20.0) == 20.0
-        assert parse_lambda_reply('{"lambda":true}', self.BOUNDS, 20.0) == 20.0
-        assert parse_lambda_reply('{"mode":"EXPLORE"}', self.BOUNDS, 20.0) == 20.0
-        assert parse_lambda_reply("", self.BOUNDS, 20.0) == 20.0
+        for raw in ('{"lambda":"high"}', '{"lambda":true}', '{"mode":"EXPLORE"}', ""):
+            record, _ = self.explore(raw)
+            assert record.lam == 20.0, raw
+            assert record.fallback_reason is FallbackReason.PARSE_FAILURE, raw
 
     def test_never_out_of_bounds(self):
-        rng = np.random.default_rng(23)
         junk = [
             '{"lambda": 1e12}',
             '{"lambda": -1e12}',
@@ -101,15 +130,14 @@ class TestParseLambdaReply:
             "[1,2]",
             '{"lambda": null}',
         ]
-        for _ in range(200):
-            raw = junk[int(rng.integers(len(junk)))]
-            value = parse_lambda_reply(raw, self.BOUNDS, 20.0)
-            assert 0.0 <= value <= 40.0
+        for raw in junk:
+            assert 0.0 <= self.explore(raw)[0].lam <= 40.0, raw
 
 
 class TestExtractLambda:
     def test_plain_number(self):
         assert extract_lambda('{"lambda": 12.5}') == 12.5
+        assert extract_lambda('{"lambda": -1e12}') == -1e12  # clamping is the agent's job
 
     def test_integer_accepted(self):
         assert extract_lambda('{"lambda": 3}') == 3.0
@@ -118,6 +146,9 @@ class TestExtractLambda:
         assert extract_lambda("nope") is None
         assert extract_lambda('{"lambda": "x"}') is None
         assert extract_lambda('{"lambda": Infinity}') is None
+        assert extract_lambda('{"lambda": NaN}') is None
+        assert extract_lambda('{"lambda": true}') is None
+        assert extract_lambda("I choose lambda 3") is None
 
 
 class TestLambdaSources:

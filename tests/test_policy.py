@@ -17,6 +17,7 @@ from dora.policy import (
     ScriptEntry,
     ScriptExhaustedError,
     decide_mode,
+    first_action,
     generate_candidates,
     greedy_action,
     normalize_action,
@@ -228,6 +229,26 @@ class TestGreedyAction:
         with pytest.raises(BackendError):
             greedy_action(MockPolicy([entry]), CTX)
 
+    @pytest.mark.parametrize(
+        "text", ["look", "\n\n  go north\nextra", '- \n1. "Open Chest"\nlook', "", "\n  \n- \n"]
+    )
+    def test_parses_its_reply_with_first_action(self, text):
+        mock = MockPolicy([ScriptEntry.greedy(text)])
+        if first_action(text):
+            assert greedy_action(mock, CTX).text == first_action(text)
+        else:
+            with pytest.raises(BackendError, match="empty greedy action"):
+                greedy_action(mock, CTX)
+
+
+class TestFirstAction:
+    def test_first_line_that_normalizes_to_an_action(self):
+        assert first_action('\n  \n- \n1. "Open Chest"\nlook') == "open chest"
+
+    def test_no_action_line_gives_empty_string(self):
+        assert first_action("") == ""
+        assert first_action("\n  \n- \n''\n") == ""
+
 
 class TestMockPolicy:
     def test_replays_in_order_per_kind(self):
@@ -319,7 +340,7 @@ class TestMockPolicy:
     def test_mutating_a_reply_does_not_change_later_replies(self):
         tokens = [("go", -0.1), (" north", -0.2)]
         mock = MockPolicy([ScriptEntry.candidates(["go north"], tokens)], loop=True)
-        request = PolicyRequest(CTX, 0.7, 5, PromptKind.CANDIDATE_LIST)
+        request = PolicyRequest(CTX, 0.7, PromptKind.CANDIDATE_LIST)
         reply = mock.complete(request)
         reply.token_logprobs[0] = ("stop", -9.0)
         reply.token_logprobs.append(("!", -1.0))
@@ -342,10 +363,6 @@ class TestRequestReplyContracts:
             PolicyRequest(CTX, -0.5)
         with pytest.raises(ValueError):
             PolicyRequest(CTX, float("nan"))
-
-    def test_bad_candidate_count_rejected(self):
-        with pytest.raises(ValueError):
-            PolicyRequest(CTX, 0.0, max_candidates=0)
 
     def test_negative_token_count_rejected(self):
         with pytest.raises(ValueError):
