@@ -118,20 +118,22 @@ def compute_metrics(run: BanditRun, instance: BanditInstance) -> BanditMetrics:
     never pulled in the second half of the horizon.
     """
     horizon = instance.horizon
+    gap, best_arm, best_mean = instance.gap, instance.best_arm, instance.best_mean
+    arm_means = instance.arm_means
     pulls = run.pulls
     regret = 0.0
     for arm in pulls:
         if arm == INVALID_PULL:
-            regret += instance.gap
+            regret += gap
         else:
-            regret += instance.best_mean - instance.arm_means[arm]
-    best_pulls = sum(1 for a in pulls if a == instance.best_arm)
+            regret += best_mean - arm_means[arm]
+    best_pulls = sum(1 for a in pulls if a == best_arm)
     second_half = pulls[horizon // 2 :]
     return BanditMetrics(
         mean_avg_reward=sum(run.rewards) / horizon,
         cumulative_regret=regret,
         best_arm_fraction=best_pulls / horizon,
-        suffix_failure=not any(a == instance.best_arm for a in second_half),
+        suffix_failure=not any(a == best_arm for a in second_half),
         invalid_count=run.invalid_count,
     )
 
@@ -359,16 +361,17 @@ def run_bandit(agent, instance: BanditInstance, seed: int) -> BanditRun:
     is applied by the metrics.
     """
     rng = np.random.default_rng([seed, 1])
-    agent.reset(instance.num_arms, instance.horizon)
+    num_arms, arm_means = instance.num_arms, instance.arm_means
+    agent.reset(num_arms, instance.horizon)
     pulls: list[int] = []
     rewards: list[int] = []
     for t in range(instance.horizon):
         arm = agent.select(t, rng)
-        if arm is None or not (0 <= arm < instance.num_arms):
+        if arm is None or not (0 <= arm < num_arms):
             pulls.append(INVALID_PULL)
             rewards.append(0)
             continue
-        reward = 1 if rng.random() < instance.arm_means[arm] else 0
+        reward = 1 if rng.random() < arm_means[arm] else 0
         pulls.append(arm)
         rewards.append(reward)
         agent.update(arm, reward)

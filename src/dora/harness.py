@@ -63,6 +63,51 @@ class SchemaVersionError(ReportError):
     """Artifact written under a different schema version."""
 
 
+def _finite_nonnegative(value: float) -> bool:
+    return math.isfinite(value) and value >= 0
+
+
+_NUMBER = (int, float)
+_NONE = type(None)
+
+# (field, accepted types, check, what the field must be) for every config
+# field. The type must match exactly, so a boolean is no integer; None passes
+# where _NONE is accepted.
+_FIELD_RULES = (
+    ("suite", (str,), lambda v: v in SUITES, f"one of {SUITES}"),
+    ("agent", (str,), lambda v: v in AGENTS, f"one of {AGENTS}"),
+    ("runs", (int,), lambda v: v >= 1, "an integer >= 1"),
+    ("master_seed", (int,), lambda v: v >= 0, "an integer >= 0"),
+    ("output_dir", (str,), None, "a path string"),
+    (
+        "backend",
+        (str, _NONE),
+        lambda v: v == "remote" or v.startswith("mock:"),
+        "'remote' or 'mock:<script.json>'",
+    ),
+    ("workers", (int, _NONE), lambda v: v >= 1, "an integer >= 1"),
+    ("num_arms", (int,), lambda v: v >= 2, "an integer >= 2"),
+    ("gap", _NUMBER, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    ("horizon", (int,), lambda v: v >= 1, "an integer >= 1"),
+    ("n_candidates", (int,), lambda v: v >= 1, "an integer >= 1"),
+    ("alpha", _NUMBER, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    ("tau_decision", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
+    ("tau_candidates", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
+    ("tau_lambda", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
+    ("lambda_min", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
+    ("lambda_max", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
+    ("growth_k", _NUMBER, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    (
+        "temperature",
+        (*_NUMBER, str),
+        lambda v: v == "decay" if type(v) is str else _finite_nonnegative(v),
+        "'decay' or a finite number >= 0",
+    ),
+    ("world", (str, _NONE), None, "a path string"),
+    ("max_steps", (int, _NONE), lambda v: v >= 1, "an integer >= 1"),
+)
+
+
 @dataclass
 class ExperimentConfig:
     suite: str = "bandit"
@@ -119,29 +164,30 @@ class ExperimentConfig:
         return cls.from_dict(data, overrides)
 
     def validate(self) -> None:
-        if self.suite not in SUITES:
-            raise ConfigError(f"unknown suite {self.suite!r}; expected one of {SUITES}")
-        if self.agent not in AGENTS:
-            raise ConfigError(f"unknown agent {self.agent!r}; expected one of {AGENTS}")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+        for name, types, check, requirement in _FIELD_RULES:
+            value = getattr(self, name)
+            if value is None and _NONE in types:
+                continue
+            if type(value) not in types or not (check is None or check(value)):
+                raise ConfigError(f"{name} must be {requirement}, got {value!r}")
+        if self.lambda_min > self.lambda_max:
+            raise ConfigError(
+                f"lambda_min must be <= lambda_max, got {self.lambda_min!r} > {self.lambda_max!r}"
+            )
         if self.suite == "keymaze" and self.agent in CLASSICAL_AGENTS:
             raise ConfigError(f"agent {self.agent!r} only runs on the bandit suite")
+        if self.suite == "bandit" and self.agent == "llm_temp" and self.num_arms > len(ARM_COLORS):
+            raise ConfigError(
+                f"agent 'llm_temp' names arms by color, so num_arms must be <= {len(ARM_COLORS)}"
+            )
         if self.agent in BACKEND_AGENTS and not self.backend:
             raise ConfigError(f"agent {self.agent!r} needs --backend mock:<script.json> or remote")
-        if self.backend and self.backend != "remote" and not self.backend.startswith("mock:"):
-            raise ConfigError(f"backend must be 'remote' or 'mock:<script.json>', got {self.backend!r}")
         if self.backend and self.backend.startswith("mock:"):
             script = self.backend.split(":", 1)[1]
             if not Path(script).is_file():
                 raise ConfigError(f"mock script not found: {script}")
         if self.world is not None and not Path(self.world).is_file():
             raise ConfigError(f"world file not found: {self.world}")
-        tau = self.temperature
-        if tau != "decay" and not (type(tau) in (int, float) and math.isfinite(tau) and tau >= 0):
-            raise ConfigError(f"temperature must be 'decay' or a finite number >= 0, got {tau!r}")
-        if self.max_steps is not None and not (type(self.max_steps) is int and self.max_steps >= 1):
-            raise ConfigError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
     def backend_factory(self):
         """Fresh backend per run (the mock is single-episode by contract).
@@ -223,6 +269,11 @@ def _dump_line(obj: dict) -> str:
     return _LINE_ENCODER.encode(obj)
 
 
+def _run_text(config_line: dict, step_text: list[str], metrics_line: dict) -> str:
+    """One run file: the config line, the encoded step lines, the metrics line."""
+    return "\n".join([_dump_line(config_line), *step_text, _dump_line(metrics_line)]) + "\n"
+
+
 def _step_line_from_record(record, run_index: int) -> dict:
     line = {
         "schema_version": SCHEMA_VERSION,
@@ -254,7 +305,7 @@ def _classical_policy(agent: str):
     }[agent]()
 
 
-def _bandit_lines(run: BanditRun, instance: BanditInstance, run_index: int) -> list[dict]:
+def _bandit_lines(run: BanditRun, run_index: int) -> list[dict]:
     lines = []
     for t, (arm, reward) in enumerate(zip(run.pulls, run.rewards)):
         lines.append(
@@ -269,6 +320,26 @@ def _bandit_lines(run: BanditRun, instance: BanditInstance, run_index: int) -> l
             }
         )
     return lines
+
+
+# ``_dump_line`` of a ``_bandit_lines`` dict, for runs whose steps carry no
+# step record: the keys in sorted order and only integers, ``null`` and
+# booleans as values, none of which JSON escapes, so ``%`` writes the same
+# bytes without building a dict.
+_BANDIT_STEP_LINE = (
+    f'{{"arm":%s,"kind":"step","reward":%d,"run":%d,"schema_version":{SCHEMA_VERSION},'
+    f'"step":%d,"valid":%s}}'
+)
+
+
+def _bandit_step_text(run: BanditRun, run_index: int) -> list[str]:
+    line = _BANDIT_STEP_LINE
+    return [
+        line % (arm, reward, run_index, t, "true")
+        if arm != INVALID_PULL
+        else line % ("null", reward, run_index, t, "false")
+        for t, (arm, reward) in enumerate(zip(run.pulls, run.rewards))
+    ]
 
 
 def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
@@ -297,25 +368,25 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
         run = env.to_run()
 
     metrics = compute_metrics(run, instance)
-    lines = [
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "config",
-            "suite": "bandit",
-            "agent": config.agent,
-            "run": run_index,
-            "seed": seed,
-            "num_arms": instance.num_arms,
-            "gap": instance.gap,
-            "horizon": instance.horizon,
-            "best_arm": instance.best_arm,
-        }
-    ]
-    step_lines = _bandit_lines(run, instance, run_index)
-    if episode is not None:
+    config_line = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "config",
+        "suite": "bandit",
+        "agent": config.agent,
+        "run": run_index,
+        "seed": seed,
+        "num_arms": instance.num_arms,
+        "gap": instance.gap,
+        "horizon": instance.horizon,
+        "best_arm": instance.best_arm,
+    }
+    if episode is None:
+        step_text = _bandit_step_text(run, run_index)
+    else:
+        step_lines = _bandit_lines(run, run_index)
         for base, record in zip(step_lines, episode.steps):
             base.update(_step_line_from_record(record, run_index))
-    lines += step_lines
+        step_text = [_dump_line(line) for line in step_lines]
     metrics_dict = {
         "schema_version": SCHEMA_VERSION,
         "kind": "metrics",
@@ -331,8 +402,7 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
         "invalid_count": metrics.invalid_count,
         "pulls": run.pulls,
     }
-    lines.append(metrics_dict)
-    return lines, metrics_dict
+    return _run_text(config_line, step_text, metrics_dict), metrics_dict
 
 
 def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
@@ -359,22 +429,21 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
         )
 
     stats = loop_stats(episode)
-    lines = [
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "config",
-            "suite": "keymaze",
-            "agent": config.agent,
-            "run": run_index,
-            "seed": seed,
-            "max_steps": max_steps,
-        }
-    ]
+    config_line = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "config",
+        "suite": "keymaze",
+        "agent": config.agent,
+        "run": run_index,
+        "seed": seed,
+        "max_steps": max_steps,
+    }
+    step_text = []
     for record, reward in zip(episode.steps, episode.rewards + [0.0] * len(episode.steps)):
         line = _step_line_from_record(record, run_index)
         line["observation"] = record.observation
         line["reward"] = reward
-        lines.append(line)
+        step_text.append(_dump_line(line))
     metrics_dict = {
         "schema_version": SCHEMA_VERSION,
         "kind": "metrics",
@@ -391,8 +460,7 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
         "loops_recovered": stats.loops_recovered,
         "token_count": episode.token_count,
     }
-    lines.append(metrics_dict)
-    return lines, metrics_dict
+    return _run_text(config_line, step_text, metrics_dict), metrics_dict
 
 
 # --- suite driver ---------------------------------------------------------------
@@ -439,9 +507,9 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
         if failure is not None:
             failures.append(failure)
             continue
-        lines, metrics_dict = payload
+        text, metrics_dict = payload
         path = out / f"{config.agent}_run{i:04d}.jsonl"
-        path.write_text("\n".join(_dump_line(line) for line in lines) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         run_files.append(path)
         metrics.append(metrics_dict)
 
@@ -590,6 +658,8 @@ def _read_jsonl(path: Path) -> list[dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ReportError(f"{path}:{line_no}: not a JSON object")
             version = record.get("schema_version")
             if version != SCHEMA_VERSION:
                 raise SchemaVersionError(
@@ -599,12 +669,27 @@ def _read_jsonl(path: Path) -> list[dict]:
     return records
 
 
+# The fields ``report`` reads from a run file's (config, metrics) records, by suite.
+_REPORT_FIELDS = {
+    "bandit": (
+        ("agent", "num_arms", "horizon"),
+        ("best_arm", "mean_avg_reward", "cum_regret", "best_arm_frac", "suffix_failure",
+         "invalid_count", "pulls"),
+    ),
+    "keymaze": (
+        ("agent",),
+        ("score", "steps", "unique_states", "loops_encountered", "loops_recovered"),
+    ),
+}
+
+
 def report(input_dir, output_dir) -> list[Path]:
     """Aggregate a directory of run JSONL files into summary tables and plot CSVs.
 
     Raises :class:`ReportError` (before writing anything) when the directory
-    holds no artifacts, any line fails the schema check, or one bandit agent's
-    runs differ in ``(num_arms, horizon)``.
+    holds no artifacts, any line fails the schema check or is not a JSON
+    object, a config or metrics record lacks a field read here, or one bandit
+    agent's runs differ in ``(num_arms, horizon)``.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -620,7 +705,16 @@ def report(input_dir, output_dir) -> list[Path]:
         metrics = next((r for r in records if r.get("kind") == "metrics"), None)
         if header is None or metrics is None:
             raise ReportError(f"{path}: missing config or metrics record")
-        if header.get("suite") == "bandit":
+        suite = "bandit" if header.get("suite") == "bandit" else "keymaze"
+        config_fields, metrics_fields = _REPORT_FIELDS[suite]
+        for kind, record, names in (
+            ("config", header, config_fields),
+            ("metrics", metrics, metrics_fields),
+        ):
+            missing = [name for name in names if name not in record]
+            if missing:
+                raise ReportError(f"{path}: {kind} record lacks {', '.join(missing)}")
+        if suite == "bandit":
             agent = header["agent"]
             shape = (header["num_arms"], header["horizon"])
             first_shape, first_path = bandit_shape.setdefault(agent, (shape, path))

@@ -4,7 +4,9 @@ The first digests were recorded before the classical-bandit hot path moved
 from numpy arrays to plain lists, the suite default became serial, and the
 plot writers merged; the policy-sampled lambda and ``llm_temp`` bandit pins
 were recorded before scoring, sampling and the bandit summary moved to
-Python floats. A speed-up that moves any artifact byte fails here.
+Python floats; the invalid-pull pin was recorded before classical step lines
+moved from the JSON encoder to a format template. A speed-up that moves any
+artifact byte fails here.
 """
 
 from __future__ import annotations
@@ -150,3 +152,49 @@ def sliced_suites(tmp_path_factory):
 @pytest.mark.parametrize("key", list(SLICED_SUITE_DIGESTS), ids=lambda k: f"sliced:{k[0]}")
 def test_sliced_keymaze_artifacts_are_pinned(sliced_suites, key):
     assert tree_digest(sliced_suites[key]) == SLICED_SUITE_DIGESTS[key]
+
+
+# A bandit temperature-baseline script whose answers mix the strict envelope
+# with replies the parser rejects: no envelope, an unknown color, an arm past
+# the suite's three, an empty reply and a lower-case tag. Each rejected answer
+# is an invalid pull, written as ``"arm":null`` and ``"valid":false``.
+INVALID_PULL_ANSWERS = [
+    "<Answer>I will press red button</Answer>",
+    "I will press green button",
+    "  <Answer>I will press Blue button</Answer>\n",
+    "<Answer>I will press orange button</Answer>",
+    "<Answer>I will press green button</Answer>",
+    "<Answer>I will press purple button</Answer>",
+    "",
+    "<Answer>I will press red button</Answer>",
+    "<answer>I will press blue button</answer>",
+]
+
+# (agent, runs) -> digest of the suite's output directory; pinned after
+# REPORT_DIGEST, so this suite also runs outside the reported directory.
+INVALID_PULL_SUITE_DIGESTS = {
+    ("llm_temp", 2): "a3e556f5e96a706323a29b4513678fdefd2b6dd20b4f719b459c4a616388a696",
+}
+
+
+@pytest.fixture(scope="module")
+def invalid_pull_suites(tmp_path_factory):
+    root = tmp_path_factory.mktemp("invalid_pulls")
+    script = root / "invalid_pull_bandit_script.json"
+    entries = [{"kind": "answer", "text": text} for text in INVALID_PULL_ANSWERS]
+    script.write_text(json.dumps({"loop": True, "entries": entries}), encoding="utf-8")
+    dirs = {}
+    for agent, runs in INVALID_PULL_SUITE_DIGESTS:
+        out = root / "unreported" / f"invalid_pulls_{agent}"
+        config = load_demo_config("bandit_dora_mock.json", agent, runs, out)
+        config.backend = f"mock:{script}"
+        config.num_arms = 3
+        config.horizon = 40
+        run_suite(config)
+        dirs[agent, runs] = out
+    return dirs
+
+
+@pytest.mark.parametrize("key", list(INVALID_PULL_SUITE_DIGESTS), ids=lambda k: f"invalid:{k[0]}")
+def test_invalid_pull_bandit_artifacts_are_pinned(invalid_pull_suites, key):
+    assert tree_digest(invalid_pull_suites[key]) == INVALID_PULL_SUITE_DIGESTS[key]

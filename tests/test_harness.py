@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,11 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"suite": "chess"})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"runs": 0})
+
+    def test_every_field_has_a_rule(self):
+        assert [rule[0] for rule in harness._FIELD_RULES] == [
+            f.name for f in fields(ExperimentConfig)
+        ]
 
 
 class TestCsvFormatting:
@@ -624,6 +630,76 @@ class TestReport:
         assert [row.split(",")[0] for row in rows[1:]] == ["greedy", "ucb"]
 
 
+    def write_greedy_runs(self, tmp_path) -> Path:
+        runs = tmp_path / "runs"
+        run_suite(
+            ExperimentConfig.from_dict(
+                {"agent": "greedy", "runs": 2, "horizon": 20, "output_dir": str(runs)}
+            )
+        )
+        return runs
+
+    def assert_report_fails(self, runs: Path, tmp_path, *fragments: str) -> None:
+        out = tmp_path / "tables"
+        with pytest.raises(ReportError) as info:
+            report(runs, out)
+        for fragment in fragments:
+            assert fragment in str(info.value)
+        assert not out.exists()
+        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["[1]", '"metrics"', "3", "null"])
+    def test_line_that_is_not_an_object_is_a_report_error(self, tmp_path, line):
+        runs = self.write_greedy_runs(tmp_path)
+        path = runs / "greedy_run0001.jsonl"
+        lines = path.read_text().splitlines()
+        lines.insert(3, line)
+        path.write_text("\n".join(lines) + "\n")
+        self.assert_report_fails(runs, tmp_path, f"{path}:4:", "not a JSON object")
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [
+            ("config", "num_arms"),
+            ("config", "horizon"),
+            ("config", "agent"),
+            ("metrics", "mean_avg_reward"),
+            ("metrics", "invalid_count"),
+            ("metrics", "pulls"),
+            ("metrics", "best_arm"),
+        ],
+    )
+    def test_bandit_record_without_a_field_is_a_report_error(self, tmp_path, kind, name):
+        runs = self.write_greedy_runs(tmp_path)
+        path = runs / "greedy_run0000.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        del next(r for r in records if r["kind"] == kind)[name]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        self.assert_report_fails(runs, tmp_path, str(path), f"{kind} record lacks {name}")
+
+    @pytest.mark.parametrize("name", ["loops_encountered", "score", "unique_states"])
+    def test_keymaze_metrics_without_a_field_is_a_report_error(self, tmp_path, name):
+        runs = tmp_path / "runs"
+        script = write_keymaze_mock(tmp_path / "km.json")
+        run_suite(
+            ExperimentConfig.from_dict(
+                {
+                    "suite": "keymaze",
+                    "agent": "llm_temp",
+                    "runs": 1,
+                    "max_steps": 5,
+                    "backend": f"mock:{script}",
+                    "output_dir": str(runs),
+                }
+            )
+        )
+        path = runs / "llm_temp_run0000.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        del records[-1][name]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        self.assert_report_fails(runs, tmp_path, str(path), f"metrics record lacks {name}")
+
     def test_mixed_bandit_shapes_are_a_report_error(self, tmp_path):
         runs = tmp_path / "runs"
         for name, num_arms in (("a_k5", 5), ("b_k2", 2)):
@@ -747,6 +823,51 @@ class TestCli:
         assert main(["keymaze", "run", "--config", cfg]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def write_dora_bandit_config(self, tmp_path, **extra) -> str:
+        cfg = tmp_path / "cfg.json"
+        config = {
+            "agent": "dora_scheduled",
+            "runs": 1,
+            "horizon": 10,
+            "backend": "mock:" + write_bandit_mock(tmp_path / "mock.json"),
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg.write_text(json.dumps(dict(config, **extra)))
+        return str(cfg)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"runs": "3"},
+            {"runs": True},
+            {"workers": "2"},
+            {"workers": -1},
+            {"workers": 0},
+            {"horizon": "20"},
+            {"horizon": 0},
+            {"gap": 1.5},
+            {"gap": True},
+            {"master_seed": -1},
+            {"n_candidates": 0},
+            {"lambda_min": 5, "lambda_max": 1},
+            {"lambda_max": float("inf")},
+            {"alpha": 2.0},
+            {"tau_lambda": -0.5},
+            {"growth_k": 0},
+            {"agent": "llm_temp", "num_arms": 6},
+        ],
+        ids=lambda extra: ",".join(f"{k}={v!r}" for k, v in extra.items()),
+    )
+    def test_bad_bandit_field_is_config_error(self, tmp_path, capsys, extra):
+        cfg = self.write_dora_bandit_config(tmp_path, **extra)
+        assert main(["bandit", "run", "--config", cfg]) == 1
+        assert next(iter(extra)) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_good_bandit_fields_run(self, tmp_path):
+        cfg = self.write_dora_bandit_config(tmp_path, runs=2, workers=2, gap=0.5, alpha=1)
+        assert main(["bandit", "run", "--config", cfg]) == 0
 
     @pytest.mark.parametrize("extra", [{"temperature": 0, "max_steps": 1}, {"temperature": 0.7}])
     def test_good_temperature_and_max_steps_run(self, tmp_path, extra):
