@@ -30,9 +30,9 @@ from .bandit import (
     EpsilonGreedyPolicy,
     GreedyPolicy,
     ScheduledSoftmaxAgent,
-    TemperaturePolicyAgent,
     ThompsonPolicy,
     UcbPolicy,
+    answer_step,
     arm_from_action,
     compute_metrics,
     decaying_temperature,

@@ -39,6 +39,9 @@ from .textenv import EnvError
 HistoryTriple = tuple[str, str, float]
 ContextBuilder = Callable[[Sequence[HistoryTriple], str, "DoraParams"], list[dict]]
 
+# A policy-sampled lambda reply that does not parse is asked for once more.
+LAMBDA_RETRIES = 1
+
 
 class FallbackReason(Enum):
     EMPTY_CANDIDATES = "empty_candidates"
@@ -55,9 +58,7 @@ class DoraParams:
     tau_decision: float = 0.2
     tau_candidates: float = 0.7
     tau_lambda: float = 0.2
-    epsilon: float = 1e-8
     history_window: int = 20
-    lambda_retries: int = 1
     invalid_action: str = ""
     greedy_kind: PromptKind = PromptKind.GREEDY_ACTION
     system_prompt: str | None = None
@@ -144,7 +145,7 @@ def _resolve_lambda(
     lo, hi = lambda_source.bounds
     messages = (*context, {"role": "user", "content": prompts.lambda_decision(lo, hi)})
     request = PolicyRequest(messages, params.tau_lambda, PromptKind.LAMBDA_DECISION)
-    for _ in range(params.lambda_retries + 1):
+    for _ in range(LAMBDA_RETRIES + 1):
         value = extract_lambda(backend.complete(request).text)
         if value is not None:
             return min(max(value, lo), hi), False
@@ -188,7 +189,7 @@ def dora_step(
             used = registry.used(observation)
             fresh = [c for c in candidates if c.text not in used]
             if fresh:
-                scores = score_candidates(fresh, ScoreParams(params.alpha, params.epsilon))
+                scores = score_candidates(fresh, ScoreParams(params.alpha))
                 dist = lambda_probabilities(scores, lam)
                 chosen = fresh[sample_categorical(dist, rng)]
                 record = StepRecord(

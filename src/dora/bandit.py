@@ -6,26 +6,28 @@ charged as a penalty for each invalid step. A run is fully determined by
 (agent, instance, seed): the instance layout, the reward stream, and any
 policy randomness draw from sub-streams of the run seed.
 
-Also here: the strict answer-envelope parsing for arm-pressing replies, the
-language-model temperature baseline, a softmax-over-running-means agent
-driven by a lambda schedule, and a text-environment adapter that exposes the
-bandit through observation summaries for explore/greedy agents.
+Also here: the strict answer-envelope parsing for arm-pressing replies, a
+softmax-over-running-means agent driven by a lambda schedule, a
+text-environment adapter that exposes the bandit through observation
+summaries to the episode loop, and the language-model temperature
+baseline's step on that loop.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import prompts
-from .agent import DoraParams, HistoryTriple
+from .agent import DoraParams, HistoryTriple, StepPolicy, StepRecord
 from .lambda_control import LambdaSchedule, lambda_exp
-from .policy import BackendError, PolicyBackend, PolicyRequest, PromptKind
+from .policy import BackendError, Mode, PolicyBackend, PolicyRequest, PromptKind
 from .scoring import lambda_probabilities, sample_categorical
+from .textenv import EnvError, TextEnvStep
 
 ARM_COLORS = ("blue", "green", "red", "yellow", "purple")
 INVALID_PULL = -1
@@ -79,21 +81,10 @@ class BanditRun:
     pulls: list[int]
     rewards: list[int]
     seed: int
-    counts: tuple[int, ...] = field(init=False)
-    sums: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.pulls) != len(self.rewards):
             raise ValueError("pulls and rewards must be aligned")
-        num_arms = max((a for a in self.pulls if a != INVALID_PULL), default=-1) + 1
-        counts = [0] * num_arms
-        sums = [0] * num_arms
-        for arm, reward in zip(self.pulls, self.rewards):
-            if arm != INVALID_PULL:
-                counts[arm] += 1
-                sums[arm] += reward
-        self.counts = tuple(counts)
-        self.sums = tuple(sums)
 
     @property
     def invalid_count(self) -> int:
@@ -198,7 +189,7 @@ class _EmpiricalMeans:
     matches the array formula it replaces, so pulls are unchanged.
     """
 
-    def reset(self, num_arms: int, horizon: int | None = None) -> None:
+    def reset(self, num_arms: int) -> None:
         self.counts = [0] * num_arms
         self.sums = [0.0] * num_arms
 
@@ -231,7 +222,7 @@ class ThompsonPolicy:
         self.alpha0 = alpha0
         self.beta0 = beta0
 
-    def reset(self, num_arms: int, horizon: int | None = None) -> None:
+    def reset(self, num_arms: int) -> None:
         self.alpha = [float(self.alpha0)] * num_arms
         self.beta = [float(self.beta0)] * num_arms
         self.counts = [0] * num_arms
@@ -269,8 +260,8 @@ class EpsilonGreedyPolicy(_EmpiricalMeans):
         self.epsilon0 = epsilon0
         self.decay = decay
 
-    def reset(self, num_arms: int, horizon: int | None = None) -> None:
-        super().reset(num_arms, horizon)
+    def reset(self, num_arms: int) -> None:
+        super().reset(num_arms)
         self.epsilon = self.epsilon0
 
     def select(self, t: int, rng: np.random.Generator) -> int:
@@ -297,51 +288,6 @@ class ScheduledSoftmaxAgent(_EmpiricalMeans):
         return sample_categorical(dist, rng)
 
 
-class TemperaturePolicyAgent(_EmpiricalMeans):
-    """Language-model arm chooser prompted with the summarized history.
-
-    ``temperature`` is a constant or a callable of the step index (for the
-    decaying schedule). Replies must match the strict answer envelope;
-    anything else, including backend failures after retries, is an invalid
-    step. Invalid steps never enter the summarized history statistics.
-    """
-
-    def __init__(self, backend: PolicyBackend, temperature: float | Callable[[int], float] = 0.0):
-        self.backend = backend
-        self.temperature = temperature
-
-    def reset(self, num_arms: int, horizon: int) -> None:
-        if num_arms > len(ARM_COLORS):
-            raise ValueError(f"color interface supports at most {len(ARM_COLORS)} arms")
-        super().reset(num_arms, horizon)
-        self.num_arms = num_arms
-        self.horizon = horizon
-        self.steps_taken = 0
-        self._system = prompts.mab_system(num_arms, horizon)
-
-    def _tau(self, t: int) -> float:
-        if callable(self.temperature):
-            return float(self.temperature(t))
-        return float(self.temperature)
-
-    def select(self, t: int, rng: np.random.Generator) -> int | None:
-        context = (
-            {"role": "system", "content": self._system},
-            {"role": "user", "content": _summary(self.steps_taken, self.counts, self.sums)},
-        )
-        self.steps_taken += 1
-        try:
-            reply = self.backend.complete(
-                PolicyRequest(context, self._tau(t), PromptKind.MAB_ANSWER)
-            )
-        except BackendError:
-            return None
-        arm = parse_answer_envelope(reply.text)
-        if arm is not None and arm >= self.num_arms:
-            return None
-        return arm
-
-
 def decaying_temperature(
     horizon: int, tau_max: float = 2.0, k: float = 5.0
 ) -> Callable[[int], float]:
@@ -354,23 +300,15 @@ def decaying_temperature(
 
 
 def run_bandit(agent, instance: BanditInstance, seed: int) -> BanditRun:
-    """Play one horizon; rewards draw Bernoulli(mean) from the run's stream.
-
-    ``agent.select`` may return None (or an out-of-range arm) to mark an
-    invalid step: no reward is drawn, no update happens, and the gap penalty
-    is applied by the metrics.
-    """
+    """Play one horizon of an agent that always picks an arm in range; rewards
+    draw Bernoulli(mean) from the run's stream."""
     rng = np.random.default_rng([seed, 1])
-    num_arms, arm_means = instance.num_arms, instance.arm_means
-    agent.reset(num_arms, instance.horizon)
+    arm_means = instance.arm_means
+    agent.reset(instance.num_arms)
     pulls: list[int] = []
     rewards: list[int] = []
     for t in range(instance.horizon):
         arm = agent.select(t, rng)
-        if arm is None or not (0 <= arm < num_arms):
-            pulls.append(INVALID_PULL)
-            rewards.append(0)
-            continue
         reward = 1 if rng.random() < arm_means[arm] else 0
         pulls.append(arm)
         rewards.append(reward)
@@ -408,9 +346,7 @@ class BanditEnv:
         self.sums = [0.0] * self.instance.num_arms
         return _summary(self.t, self.counts, self.sums)
 
-    def step(self, action_text: str):
-        from .textenv import EnvError, TextEnvStep
-
+    def step(self, action_text: str) -> TextEnvStep:
         if not self._started:
             raise EnvError("reset() must be called before step()")
         if self.t >= self.instance.horizon:
@@ -454,3 +390,24 @@ def make_mab_context_builder(instance: BanditInstance) -> Callable:
 
     return build
 
+
+def answer_step(
+    backend: PolicyBackend, instance: BanditInstance, temperature: Callable[[int], float]
+) -> StepPolicy:
+    """The temperature baseline on the bandit: one answer request over the
+    summarized history at ``temperature(t)`` per step. A reply outside the
+    strict answer envelope, or a backend error, plays the empty action, which
+    :class:`BanditEnv` records as an invalid pull, as it does an arm past
+    ``num_arms``. Other errors propagate."""
+    build = make_mab_context_builder(instance)
+
+    def step(history: Sequence[HistoryTriple], observation: str, t: int) -> StepRecord:
+        context = build(history, observation, None)
+        try:
+            reply = backend.complete(PolicyRequest(context, temperature(t), PromptKind.MAB_ANSWER))
+        except BackendError:
+            return StepRecord(t, observation, Mode.GREEDY, "")
+        arm = parse_answer_envelope(reply.text)
+        return StepRecord(t, observation, Mode.GREEDY, "" if arm is None else press_action(arm))
+
+    return step

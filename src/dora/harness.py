@@ -30,9 +30,9 @@ from .bandit import (
     BanditRun,
     EpsilonGreedyPolicy,
     GreedyPolicy,
-    TemperaturePolicyAgent,
     ThompsonPolicy,
     UcbPolicy,
+    answer_step,
     compute_metrics,
     decaying_temperature,
     make_hard_instance,
@@ -69,6 +69,12 @@ def _finite_nonnegative(value: float) -> bool:
 
 _NUMBER = (int, float)
 _NONE = type(None)
+
+
+def _fits(value, types: tuple, check) -> bool:
+    """Whether ``value`` has exactly one of ``types`` and passes ``check`` (if any)."""
+    return type(value) in types and (check is None or check(value))
+
 
 # (field, accepted types, check, what the field must be) for every config
 # field. The type must match exactly, so a boolean is no integer; None passes
@@ -168,7 +174,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and _NONE in types:
                 continue
-            if type(value) not in types or not (check is None or check(value)):
+            if not _fits(value, types, check):
                 raise ConfigError(f"{name} must be {requirement}, got {value!r}")
         if self.lambda_min > self.lambda_max:
             raise ConfigError(
@@ -349,22 +355,23 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
 
     if config.agent in CLASSICAL_AGENTS:
         run = run_bandit(_classical_policy(config.agent), instance, seed)
-    elif config.agent == "llm_temp":
-        temperature = config.temperature_schedule(config.horizon)
-        run = run_bandit(TemperaturePolicyAgent(backend_factory(), temperature), instance, seed)
     else:
         backend = backend_factory()
         env = BanditEnv(instance, seed)
-        episode = run_episode(
-            backend,
-            env,
-            config.lambda_source(config.horizon),
-            config.dora_params(PromptKind.MAB_ANSWER),
-            max_steps=config.horizon,
-            rng=np.random.default_rng([seed, 2]),
-            context_builder=make_mab_context_builder(instance),
-            seed=seed,
-        )
+        if config.agent == "llm_temp":
+            step = answer_step(backend, instance, config.temperature_schedule(config.horizon))
+            drive_episode(backend, env, step, config.horizon, seed)
+        else:
+            episode = run_episode(
+                backend,
+                env,
+                config.lambda_source(config.horizon),
+                config.dora_params(PromptKind.MAB_ANSWER),
+                max_steps=config.horizon,
+                rng=np.random.default_rng([seed, 2]),
+                context_builder=make_mab_context_builder(instance),
+                seed=seed,
+            )
         run = env.to_run()
 
     metrics = compute_metrics(run, instance)
@@ -471,11 +478,13 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
 
     Runs hold the GIL unless a remote backend is waiting on the network, so
     they run serially by default and in ``os.cpu_count()`` threads for the
-    remote backend; ``config.workers`` overrides either. Every file (the
-    per-run JSONL files, the aggregate CSV, the plot CSVs and summary.json)
-    is written after the runs, in run order, so repeated invocations with
-    the same config and master seed produce identical bytes for mock and
-    classical agents, whatever the worker count.
+    remote backend; ``config.workers`` overrides either. Each run writes its
+    JSONL file as soon as it ends, so only the metrics of finished runs stay
+    in memory; an error writing the file escapes. The aggregate CSV, the plot
+    CSVs and summary.json are written after the last run, from the metrics
+    in run order. Repeated invocations with the same config and master seed
+    therefore produce identical bytes for mock and classical agents, whatever
+    the worker count.
     """
     config.validate()
     backend_factory = config.backend_factory()
@@ -484,13 +493,18 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
 
     runner = _run_bandit_one if config.suite == "bandit" else _run_keymaze_one
 
+    def run_path(i: int) -> Path:
+        return out / f"{config.agent}_run{i:04d}.jsonl"
+
     def one(i: int):
         try:
-            return i, runner(config, backend_factory, i), None
+            text, metrics_dict = runner(config, backend_factory, i)
         except BackendError as exc:
             return i, None, {"run": i, "kind": "backend", "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - recorded per run, batch continues
             return i, None, {"run": i, "kind": type(exc).__name__, "error": str(exc)}
+        run_path(i).write_text(text, encoding="utf-8")
+        return i, metrics_dict, None
 
     workers = config.workers or ((os.cpu_count() or 1) if config.backend == "remote" else 1)
     if workers == 1:
@@ -503,14 +517,11 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     run_files: list[Path] = []
     metrics: list[dict] = []
     failures: list[dict] = []
-    for i, payload, failure in results:
+    for i, metrics_dict, failure in results:
         if failure is not None:
             failures.append(failure)
             continue
-        text, metrics_dict = payload
-        path = out / f"{config.agent}_run{i:04d}.jsonl"
-        path.write_text(text, encoding="utf-8")
-        run_files.append(path)
+        run_files.append(run_path(i))
         metrics.append(metrics_dict)
 
     aggregate_csv = None
@@ -669,18 +680,37 @@ def _read_jsonl(path: Path) -> list[dict]:
     return records
 
 
-# The fields ``report`` reads from a run file's (config, metrics) records, by suite.
+_TEXT = ((str,), None, "a string")
+_COUNT = ((int,), None, "an integer")
+_SIZE = ((int,), lambda v: v >= 1, "an integer >= 1")
+_REAL = (_NUMBER, None, "a number")
+
+# (field, (accepted types, check, what it must be)) for every field ``report``
+# reads from a run file's (config, metrics) records, by suite; as in
+# _FIELD_RULES, the type must match exactly, so a boolean is no integer.
 _REPORT_FIELDS = {
     "bandit": (
-        ("agent", "num_arms", "horizon"),
-        ("best_arm", "mean_avg_reward", "cum_regret", "best_arm_frac", "suffix_failure",
-         "invalid_count", "pulls"),
+        (("agent", _TEXT), ("num_arms", _SIZE), ("horizon", _SIZE)),
+        (("best_arm", _COUNT), ("mean_avg_reward", _REAL), ("cum_regret", _REAL),
+         ("best_arm_frac", _REAL), ("suffix_failure", ((bool,), None, "a boolean")),
+         ("invalid_count", _COUNT), ("pulls", ((list,), None, "a list"))),
     ),
     "keymaze": (
-        ("agent",),
-        ("score", "steps", "unique_states", "loops_encountered", "loops_recovered"),
+        (("agent", _TEXT),),
+        (("score", _REAL), ("steps", _COUNT), ("unique_states", _COUNT),
+         ("loops_encountered", _COUNT), ("loops_recovered", _COUNT)),
     ),
 }
+
+
+def _pulls_fit(pulls: list, num_arms: int, horizon: int) -> bool:
+    """Whether ``pulls`` holds at most ``horizon`` arms, each ``null``,
+    ``INVALID_PULL`` or an integer in ``[0, num_arms)``."""
+    return (
+        len(pulls) <= horizon
+        and set(map(type, pulls)) <= {int, _NONE}
+        and set(pulls) - {None, INVALID_PULL} <= set(range(num_arms))
+    )
 
 
 def report(input_dir, output_dir) -> list[Path]:
@@ -688,8 +718,10 @@ def report(input_dir, output_dir) -> list[Path]:
 
     Raises :class:`ReportError` (before writing anything) when the directory
     holds no artifacts, any line fails the schema check or is not a JSON
-    object, a config or metrics record lacks a field read here, or one bandit
-    agent's runs differ in ``(num_arms, horizon)``.
+    object, a config or metrics record lacks a field read here or holds one
+    of the wrong type, a bandit run's ``pulls`` do not fit its
+    ``(num_arms, horizon)``, or one bandit agent's runs differ in
+    ``(num_arms, horizon)``.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -707,16 +739,27 @@ def report(input_dir, output_dir) -> list[Path]:
             raise ReportError(f"{path}: missing config or metrics record")
         suite = "bandit" if header.get("suite") == "bandit" else "keymaze"
         config_fields, metrics_fields = _REPORT_FIELDS[suite]
-        for kind, record, names in (
+        for kind, record, rules in (
             ("config", header, config_fields),
             ("metrics", metrics, metrics_fields),
         ):
-            missing = [name for name in names if name not in record]
+            missing = [name for name, _ in rules if name not in record]
             if missing:
                 raise ReportError(f"{path}: {kind} record lacks {', '.join(missing)}")
+            for name, (types, check, requirement) in rules:
+                value = record[name]
+                if not _fits(value, types, check):
+                    raise ReportError(
+                        f"{path}: {kind} field {name} must be {requirement}, got {value!r}"
+                    )
         if suite == "bandit":
             agent = header["agent"]
             shape = (header["num_arms"], header["horizon"])
+            if not _pulls_fit(metrics["pulls"], *shape):
+                raise ReportError(
+                    f"{path}: metrics field pulls must hold at most {shape[1]} arms, each "
+                    f"null, {INVALID_PULL} or an integer in [0, {shape[0]})"
+                )
             first_shape, first_path = bandit_shape.setdefault(agent, (shape, path))
             if shape != first_shape:
                 raise ReportError(

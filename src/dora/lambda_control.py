@@ -49,24 +49,21 @@ class ScheduledLambda:
 class PolicySampledLambda:
     """Lambda is requested from the policy; replies are clamped into bounds.
 
-    ``fallback`` is used when the reply cannot be parsed; it defaults to the
-    midpoint of the bounds (the least committal choice).
+    A reply that cannot be parsed falls back to the midpoint of the bounds
+    (the least committal choice).
     """
 
     bounds: tuple[float, float] = DEFAULT_LAMBDA_BOUNDS
-    fallback: float | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.bounds
         if not (0.0 <= lo <= hi):
             raise ValueError(f"bounds must satisfy 0 <= lo <= hi, got {self.bounds!r}")
-        if self.fallback is not None and not (lo <= self.fallback <= hi):
-            raise ValueError(f"fallback {self.fallback!r} outside bounds {self.bounds!r}")
 
     @property
     def fallback_value(self) -> float:
         lo, hi = self.bounds
-        return self.fallback if self.fallback is not None else (lo + hi) / 2.0
+        return (lo + hi) / 2.0
 
 
 LambdaSource = ScheduledLambda | PolicySampledLambda

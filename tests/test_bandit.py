@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dora.agent import drive_episode
 from dora.bandit import (
     ARM_COLORS,
     INVALID_PULL,
@@ -13,9 +14,9 @@ from dora.bandit import (
     EpsilonGreedyPolicy,
     GreedyPolicy,
     ScheduledSoftmaxAgent,
-    TemperaturePolicyAgent,
     ThompsonPolicy,
     UcbPolicy,
+    answer_step,
     arm_from_action,
     compute_metrics,
     decaying_temperature,
@@ -25,7 +26,7 @@ from dora.bandit import (
     run_bandit,
 )
 from dora.lambda_control import LambdaSchedule
-from dora.policy import MockPolicy, ScriptEntry
+from dora.policy import BackendError, MockPolicy, PromptKind, ScriptEntry, ScriptExhaustedError
 from dora.textenv import EnvError
 
 
@@ -173,18 +174,11 @@ class TestRunBanditAndMetrics:
         b = run_bandit(UcbPolicy(), instance, 11)
         assert a.pulls == b.pulls and a.rewards == b.rewards
 
-    def test_counts_consistent_with_pulls(self):
-        instance = make_hard_instance(5, 0.2, 200, seed=13)
-        run = run_bandit(ThompsonPolicy(), instance, 13)
-        for arm in range(5):
-            assert run.counts[arm] == sum(1 for a in run.pulls if a == arm)
-        assert sum(run.counts) + run.invalid_count == instance.horizon
-
     def test_optimal_play(self):
         instance = make_hard_instance(5, 0.2, 200, seed=17)
 
         class AlwaysBest:
-            def reset(self, num_arms, horizon=None):
+            def reset(self, num_arms):
                 pass
 
             def select(self, t, rng):
@@ -204,7 +198,7 @@ class TestRunBanditAndMetrics:
         worst = (instance.best_arm + 1) % 5
 
         class NeverBest:
-            def reset(self, num_arms, horizon=None):
+            def reset(self, num_arms):
                 pass
 
             def select(self, t, rng):
@@ -294,27 +288,91 @@ class TestAnswerEnvelope:
             assert arm_from_action(press_action(arm)) == arm
 
 
-class TestTemperaturePolicyAgent:
+class FailingOnce(MockPolicy):
+    """A mock whose ``fail_at``-th request raises a backend error."""
+
+    def __init__(self, entries, fail_at: int) -> None:
+        super().__init__(entries)
+        self.fail_at = fail_at
+
+    def complete(self, request):
+        if len(self.calls) + 1 == self.fail_at:
+            self.calls.append(request.prompt_kind)
+            raise BackendError("connection reset")
+        return super().complete(request)
+
+
+def play_answers(backend, num_arms: int, horizon: int, seed: int, temperature=lambda t: 0.0):
+    """One bandit episode of the temperature baseline; returns (env, log)."""
+    instance = make_hard_instance(num_arms, 0.2, horizon, seed=seed)
+    env = BanditEnv(instance, seed)
+    step = answer_step(backend, instance, temperature)
+    return env, drive_episode(backend, env, step, horizon, seed)
+
+
+class TestAnswerStep:
     def test_valid_answers_drive_pulls(self):
-        mock = MockPolicy([ScriptEntry.answer("red")] * 3)
-        instance = make_hard_instance(5, 0.2, 3, seed=31)
-        run = run_bandit(TemperaturePolicyAgent(mock, 0.0), instance, 31)
+        env, log = play_answers(MockPolicy([ScriptEntry.answer("red")] * 3), 5, 3, 31)
+        run = env.to_run()
         assert run.pulls == [2, 2, 2]
         assert run.invalid_count == 0
+        assert log.terminal and [r.chosen_action for r in log.steps] == ["press red button"] * 3
 
-    def test_unparseable_reply_is_invalid_step(self):
+    def test_unparseable_reply_is_invalid_pull(self):
         entries = [
             ScriptEntry.answer("red"),
-            ScriptEntry(ScriptEntry.answer("red").kind, "I refuse to answer"),
+            ScriptEntry(PromptKind.MAB_ANSWER, "I refuse to answer"),
             ScriptEntry.answer("blue"),
         ]
-        instance = make_hard_instance(5, 0.2, 3, seed=37)
-        agent = TemperaturePolicyAgent(MockPolicy(entries), 0.7)
-        run = run_bandit(agent, instance, 37)
+        env, log = play_answers(MockPolicy(entries), 5, 3, 37)
+        run = env.to_run()
         assert run.pulls[1] == INVALID_PULL
         assert run.rewards[1] == 0
-        # invalid step left no trace in the summarized statistics
-        assert sum(agent.counts) == 2
+        assert log.steps[1].chosen_action == ""
+        # the invalid pull left no trace in the summarized statistics
+        assert env.counts == [1, 0, 1, 0, 0]
+        assert "you have taken 2 actions" in log.observations[2]
+
+    def test_only_the_strict_envelope_is_an_answer(self):
+        # a lower-case envelope would pass arm_from_action, but not the reply contract
+        entries = [ScriptEntry(PromptKind.MAB_ANSWER, "<answer>i will press red button</answer>")]
+        env, _ = play_answers(MockPolicy(entries), 5, 1, 39)
+        assert env.to_run().pulls == [INVALID_PULL]
+
+    def test_arm_past_num_arms_is_invalid_pull(self):
+        entries = [ScriptEntry.answer("purple"), ScriptEntry.answer("green")]
+        env, _ = play_answers(MockPolicy(entries), 3, 2, 41)
+        assert env.to_run().pulls == [INVALID_PULL, 1]
+        assert env.counts == [0, 1, 0]
+
+    def test_backend_error_is_one_invalid_pull(self):
+        backend = FailingOnce([ScriptEntry.answer("green")] * 3, fail_at=2)
+        env, log = play_answers(backend, 5, 4, 43)
+        run = env.to_run()
+        assert run.pulls == [1, INVALID_PULL, 1, 1]
+        assert run.rewards[1] == 0
+        assert log.terminal and not log.partial
+        assert env.counts == [0, 3, 0, 0, 0]
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(ScriptExhaustedError):
+            play_answers(MockPolicy([ScriptEntry.answer("red")]), 5, 2, 47)
+
+    def test_request_carries_summary_and_temperature(self):
+        seen = []
+
+        class Recording(MockPolicy):
+            def complete(self, request):
+                seen.append(request)
+                return super().complete(request)
+
+        backend = Recording([ScriptEntry.answer("red")] * 2)
+        play_answers(backend, 5, 2, 53, temperature=lambda t: 0.5 + t)
+        assert [r.temperature for r in seen] == [0.5, 1.5]
+        assert {r.prompt_kind for r in seen} == {PromptKind.MAB_ANSWER}
+        assert [r.context[0]["role"] for r in seen] == ["system", "system"]
+        assert "you have taken 0 actions" in seen[0].context[1]["content"]
+        assert "you have taken 1 actions" in seen[1].context[1]["content"]
 
     def test_decaying_temperature_schedule(self):
         tau = decaying_temperature(200)
@@ -363,7 +421,7 @@ class TestBanditEnv:
         instance = make_hard_instance(5, 0.2, 20, seed=53)
 
         class FixedArm:
-            def reset(self, num_arms, horizon=None):
+            def reset(self, num_arms):
                 pass
 
             def select(self, t, rng):

@@ -20,7 +20,7 @@ from dora.harness import (
     report,
     run_suite,
 )
-from dora.bandit import decaying_temperature
+from dora.bandit import INVALID_PULL, decaying_temperature
 from dora.policy import PolicyRequest, PromptKind
 
 BANDIT_ACTIONS = "press blue button\npress green button\npress red button\npress yellow button\npress purple button"
@@ -238,6 +238,26 @@ class TestBanditSuite:
         assert cells["agent"] == "ucb"
         assert abs(float(cells["cum_regret"]) - 13.68) <= 1.5
         assert float(cells["invalid_count"]) == 0
+
+    def test_each_run_file_is_written_when_its_run_ends(self, tmp_path, monkeypatch):
+        config = self.run_config(tmp_path, "out")
+        out = Path(config.output_dir)
+        runner = harness._run_bandit_one
+        present = []
+
+        def spy(config, backend_factory, run_index):
+            present.append(sorted(p.name for p in out.glob("*.jsonl")))
+            return runner(config, backend_factory, run_index)
+
+        monkeypatch.setattr(harness, "_run_bandit_one", spy)
+        run_suite(config)
+        assert present == [[f"ucb_run{j:04d}.jsonl" for j in range(i)] for i in range(4)]
+
+    def test_run_file_write_error_escapes(self, tmp_path):
+        config = self.run_config(tmp_path, "out")
+        (Path(config.output_dir) / "ucb_run0001.jsonl").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            run_suite(config)
 
     def test_partial_batch_recorded(self, tmp_path):
         # a non-looping script exhausts after the first run's first step
@@ -678,8 +698,62 @@ class TestReport:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         self.assert_report_fails(runs, tmp_path, str(path), f"{kind} record lacks {name}")
 
-    @pytest.mark.parametrize("name", ["loops_encountered", "score", "unique_states"])
-    def test_keymaze_metrics_without_a_field_is_a_report_error(self, tmp_path, name):
+    @staticmethod
+    def edit_records(path: Path, edit) -> None:
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        edit({r["kind"]: r for r in records if r["kind"] != "step"})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    @pytest.mark.parametrize(
+        "kind,name,value",
+        [
+            ("config", "num_arms", "5"),
+            ("config", "num_arms", 0),
+            ("config", "horizon", True),
+            ("config", "horizon", 20.0),
+            ("config", "agent", 5),
+            ("metrics", "best_arm", None),
+            ("metrics", "mean_avg_reward", "0.5"),
+            ("metrics", "cum_regret", None),
+            ("metrics", "best_arm_frac", True),
+            ("metrics", "suffix_failure", 0),
+            ("metrics", "invalid_count", 1.0),
+            ("metrics", "pulls", "0,1,2"),
+        ],
+    )
+    def test_bandit_field_of_the_wrong_type_is_a_report_error(self, tmp_path, kind, name, value):
+        runs = self.write_greedy_runs(tmp_path)
+        path = runs / "greedy_run0001.jsonl"
+        self.edit_records(path, lambda records: records[kind].update({name: value}))
+        self.assert_report_fails(runs, tmp_path, str(path), f"{kind} field {name} must be")
+
+    @pytest.mark.parametrize(
+        "index,arm", [(0, 5), (3, 9), (0, -2), (1, True), (2, 1.0), (4, "red"), (20, 0)]
+    )
+    def test_pull_outside_the_run_is_a_report_error(self, tmp_path, index, arm):
+        runs = self.write_greedy_runs(tmp_path)
+        path = runs / "greedy_run0000.jsonl"
+
+        def edit(records):
+            pulls = records["metrics"]["pulls"]
+            if index < len(pulls):
+                pulls[index] = arm
+            else:
+                pulls.append(arm)  # one pull past the horizon
+
+        self.edit_records(path, edit)
+        self.assert_report_fails(runs, tmp_path, str(path), "metrics field pulls must hold")
+
+    def test_null_and_invalid_pulls_are_read(self, tmp_path):
+        runs = self.write_greedy_runs(tmp_path)
+
+        def edit(records):
+            records["metrics"]["pulls"][:2] = [None, INVALID_PULL]
+
+        self.edit_records(runs / "greedy_run0000.jsonl", edit)
+        assert main(["report", "--in", str(runs), "--out", str(tmp_path / "tables")]) == 0
+
+    def write_keymaze_run(self, tmp_path) -> Path:
         runs = tmp_path / "runs"
         script = write_keymaze_mock(tmp_path / "km.json")
         run_suite(
@@ -694,11 +768,29 @@ class TestReport:
                 }
             )
         )
-        path = runs / "llm_temp_run0000.jsonl"
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        del records[-1][name]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        self.assert_report_fails(runs, tmp_path, str(path), f"metrics record lacks {name}")
+        return runs / "llm_temp_run0000.jsonl"
+
+    @pytest.mark.parametrize("name", ["loops_encountered", "score", "unique_states"])
+    def test_keymaze_metrics_without_a_field_is_a_report_error(self, tmp_path, name):
+        path = self.write_keymaze_run(tmp_path)
+        self.edit_records(path, lambda records: records["metrics"].pop(name))
+        self.assert_report_fails(path.parent, tmp_path, str(path), f"metrics record lacks {name}")
+
+    @pytest.mark.parametrize(
+        "kind,name,value",
+        [
+            ("config", "agent", None),
+            ("metrics", "score", "0.5"),
+            ("metrics", "steps", 5.0),
+            ("metrics", "unique_states", False),
+            ("metrics", "loops_encountered", None),
+            ("metrics", "loops_recovered", "0"),
+        ],
+    )
+    def test_keymaze_field_of_the_wrong_type_is_a_report_error(self, tmp_path, kind, name, value):
+        path = self.write_keymaze_run(tmp_path)
+        self.edit_records(path, lambda records: records[kind].update({name: value}))
+        self.assert_report_fails(path.parent, tmp_path, str(path), f"{kind} field {name} must be")
 
     def test_mixed_bandit_shapes_are_a_report_error(self, tmp_path):
         runs = tmp_path / "runs"

@@ -156,14 +156,6 @@ class TestLambdaSources:
         source = PolicySampledLambda(bounds=(0.0, 40.0))
         assert source.fallback_value == 20.0
 
-    def test_explicit_fallback(self):
-        source = PolicySampledLambda(bounds=(0.0, 40.0), fallback=5.0)
-        assert source.fallback_value == 5.0
-
-    def test_fallback_outside_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            PolicySampledLambda(bounds=(0.0, 10.0), fallback=11.0)
-
     def test_unordered_bounds_rejected(self):
         with pytest.raises(ValueError):
             PolicySampledLambda(bounds=(5.0, 1.0))
