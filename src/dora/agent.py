@@ -41,6 +41,10 @@ ContextBuilder = Callable[[Sequence[HistoryTriple], str, "DoraParams"], list[dic
 
 # A policy-sampled lambda reply that does not parse is asked for once more.
 LAMBDA_RETRIES = 1
+# The context holds the last HISTORY_WINDOW (observation, action) turns.
+HISTORY_WINDOW = 20
+# The action a step records when the backend failed.
+INVALID_ACTION = ""
 
 
 class FallbackReason(Enum):
@@ -58,8 +62,6 @@ class DoraParams:
     tau_decision: float = 0.2
     tau_candidates: float = 0.7
     tau_lambda: float = 0.2
-    history_window: int = 20
-    invalid_action: str = ""
     greedy_kind: PromptKind = PromptKind.GREEDY_ACTION
     system_prompt: str | None = None
 
@@ -114,9 +116,8 @@ def build_text_context(
     """
     system = params.system_prompt if params.system_prompt is not None else prompts.zero_shot()
     messages = [{"role": "system", "content": system}]
-    window = history[-params.history_window :] if params.history_window > 0 else []
     pending_reward = 0.0
-    for obs, action, reward in window:
+    for obs, action, reward in history[-HISTORY_WINDOW:]:
         messages.append({"role": "user", "content": _with_reward(obs, pending_reward)})
         messages.append({"role": "assistant", "content": action})
         pending_reward = reward
@@ -166,7 +167,7 @@ def dora_step(
     """Run one explore-or-greedy decision step and return its full record.
 
     A backend failure produces a record with ``fallback_reason=BACKEND_ERROR``
-    and the configured invalid action; an explore step whose candidates were
+    and :data:`INVALID_ACTION`; an explore step whose candidates were
     all used before falls back to the greedy action (``EMPTY_CANDIDATES``).
     """
     if not observation:
@@ -210,7 +211,7 @@ def dora_step(
                     step=step,
                     observation=observation,
                     mode=mode,
-                    chosen_action=chosen.text,
+                    chosen_action=chosen,
                     lam=lam,
                     candidates=[],
                     fallback_reason=FallbackReason.EMPTY_CANDIDATES,
@@ -218,14 +219,14 @@ def dora_step(
         else:
             chosen = greedy_action(backend, context, params.greedy_kind)
             record = StepRecord(
-                step=step, observation=observation, mode=mode, chosen_action=chosen.text
+                step=step, observation=observation, mode=mode, chosen_action=chosen
             )
     except BackendError:
         return StepRecord(
             step=step,
             observation=observation,
             mode=mode,
-            chosen_action=params.invalid_action,
+            chosen_action=INVALID_ACTION,
             lam=lam if mode is Mode.EXPLORE else None,
             candidates=None,
             fallback_reason=FallbackReason.BACKEND_ERROR,
@@ -253,10 +254,6 @@ class EpisodeLog:
     score: float = 0.0
     token_count: int = 0
     seed: int | None = None
-
-    @property
-    def total_reward(self) -> float:
-        return float(sum(self.rewards))
 
     @property
     def num_steps(self) -> int:

@@ -76,11 +76,13 @@ def _fits(value, types: tuple, check) -> bool:
     return type(value) in types and (check is None or check(value))
 
 
+_SUITE = ((str,), lambda v: v in SUITES, f"one of {SUITES}")
+
 # (field, accepted types, check, what the field must be) for every config
 # field. The type must match exactly, so a boolean is no integer; None passes
 # where _NONE is accepted.
 _FIELD_RULES = (
-    ("suite", (str,), lambda v: v in SUITES, f"one of {SUITES}"),
+    ("suite", *_SUITE),
     ("agent", (str,), lambda v: v in AGENTS, f"one of {AGENTS}"),
     ("runs", (int,), lambda v: v >= 1, "an integer >= 1"),
     ("master_seed", (int,), lambda v: v >= 0, "an integer >= 0"),
@@ -275,12 +277,36 @@ def _dump_line(obj: dict) -> str:
     return _LINE_ENCODER.encode(obj)
 
 
-def _run_text(config_line: dict, step_text: list[str], metrics_line: dict) -> str:
-    """One run file: the config line, the encoded step lines, the metrics line."""
-    return "\n".join([_dump_line(config_line), *step_text, _dump_line(metrics_line)]) + "\n"
+def _run_file(
+    config: ExperimentConfig,
+    run_index: int,
+    seed: int,
+    head: dict,
+    step_text: list[str],
+    tail: dict,
+) -> tuple[str, dict]:
+    """One run file: the config line, the encoded step lines, the metrics line.
+
+    The config and metrics lines carry the keys every run shares
+    (``schema_version``, ``kind``, ``suite``, ``agent``, ``run``, ``seed``)
+    plus the suite's own ``head`` and ``tail`` fields. Returns the file text
+    and the metrics line, which ``run_suite`` aggregates.
+    """
+    shared = {
+        "schema_version": SCHEMA_VERSION,
+        "suite": config.suite,
+        "agent": config.agent,
+        "run": run_index,
+        "seed": seed,
+    }
+    config_line = {**shared, "kind": "config", **head}
+    metrics_line = {**shared, "kind": "metrics", **tail}
+    text = "\n".join([_dump_line(config_line), *step_text, _dump_line(metrics_line)]) + "\n"
+    return text, metrics_line
 
 
-def _step_line_from_record(record, run_index: int) -> dict:
+def _step_line_from_record(record, run_index: int, **fields) -> str:
+    """The encoded step line of one step record, plus the suite's own ``fields``."""
     line = {
         "schema_version": SCHEMA_VERSION,
         "kind": "step",
@@ -289,6 +315,7 @@ def _step_line_from_record(record, run_index: int) -> dict:
         "mode": record.mode.value,
         "chosen_action": record.chosen_action,
         "fallback": record.fallback_reason.value if record.fallback_reason else None,
+        **fields,
     }
     if record.lam is not None:
         line["lambda"] = record.lam
@@ -296,7 +323,7 @@ def _step_line_from_record(record, run_index: int) -> dict:
         line["candidates"] = [
             {"action": c.action, "score": c.score, "prob": c.prob} for c in record.candidates
         ]
-    return line
+    return _dump_line(line)
 
 
 # --- per-run execution ---------------------------------------------------------
@@ -311,27 +338,10 @@ def _classical_policy(agent: str):
     }[agent]()
 
 
-def _bandit_lines(run: BanditRun, run_index: int) -> list[dict]:
-    lines = []
-    for t, (arm, reward) in enumerate(zip(run.pulls, run.rewards)):
-        lines.append(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "step",
-                "run": run_index,
-                "step": t,
-                "arm": None if arm == INVALID_PULL else arm,
-                "reward": reward,
-                "valid": arm != INVALID_PULL,
-            }
-        )
-    return lines
-
-
-# ``_dump_line`` of a ``_bandit_lines`` dict, for runs whose steps carry no
-# step record: the keys in sorted order and only integers, ``null`` and
-# booleans as values, none of which JSON escapes, so ``%`` writes the same
-# bytes without building a dict.
+# The step line of a bandit run whose steps carry no step record: the keys in
+# sorted order and only integers, ``null`` and booleans as values, none of
+# which JSON escapes, so ``%`` writes the bytes ``_dump_line`` would write for
+# the same fields without building a dict.
 _BANDIT_STEP_LINE = (
     f'{{"arm":%s,"kind":"step","reward":%d,"run":%d,"schema_version":{SCHEMA_VERSION},'
     f'"step":%d,"valid":%s}}'
@@ -375,32 +385,26 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
         run = env.to_run()
 
     metrics = compute_metrics(run, instance)
-    config_line = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "config",
-        "suite": "bandit",
-        "agent": config.agent,
-        "run": run_index,
-        "seed": seed,
+    if episode is None:
+        step_text = _bandit_step_text(run, run_index)
+    else:
+        step_text = [
+            _step_line_from_record(
+                record,
+                run_index,
+                arm=None if arm == INVALID_PULL else arm,
+                reward=reward,
+                valid=arm != INVALID_PULL,
+            )
+            for arm, reward, record in zip(run.pulls, run.rewards, episode.steps)
+        ]
+    head = {
         "num_arms": instance.num_arms,
         "gap": instance.gap,
         "horizon": instance.horizon,
         "best_arm": instance.best_arm,
     }
-    if episode is None:
-        step_text = _bandit_step_text(run, run_index)
-    else:
-        step_lines = _bandit_lines(run, run_index)
-        for base, record in zip(step_lines, episode.steps):
-            base.update(_step_line_from_record(record, run_index))
-        step_text = [_dump_line(line) for line in step_lines]
-    metrics_dict = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "metrics",
-        "suite": "bandit",
-        "agent": config.agent,
-        "run": run_index,
-        "seed": seed,
+    tail = {
         "best_arm": instance.best_arm,
         "mean_avg_reward": metrics.mean_avg_reward,
         "cum_regret": metrics.cumulative_regret,
@@ -409,7 +413,7 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
         "invalid_count": metrics.invalid_count,
         "pulls": run.pulls,
     }
-    return _run_text(config_line, step_text, metrics_dict), metrics_dict
+    return _run_file(config, run_index, seed, head, step_text, tail)
 
 
 def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
@@ -436,28 +440,11 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
         )
 
     stats = loop_stats(episode)
-    config_line = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "config",
-        "suite": "keymaze",
-        "agent": config.agent,
-        "run": run_index,
-        "seed": seed,
-        "max_steps": max_steps,
-    }
-    step_text = []
-    for record, reward in zip(episode.steps, episode.rewards + [0.0] * len(episode.steps)):
-        line = _step_line_from_record(record, run_index)
-        line["observation"] = record.observation
-        line["reward"] = reward
-        step_text.append(_dump_line(line))
-    metrics_dict = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "metrics",
-        "suite": "keymaze",
-        "agent": config.agent,
-        "run": run_index,
-        "seed": seed,
+    step_text = [
+        _step_line_from_record(record, run_index, observation=record.observation, reward=reward)
+        for record, reward in zip(episode.steps, episode.rewards + [0.0] * len(episode.steps))
+    ]
+    tail = {
         "score": episode.score,
         "steps": episode.num_steps,
         "terminal": episode.terminal,
@@ -467,7 +454,7 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
         "loops_recovered": stats.loops_recovered,
         "token_count": episode.token_count,
     }
-    return _run_text(config_line, step_text, metrics_dict), metrics_dict
+    return _run_file(config, run_index, seed, {"max_steps": max_steps}, step_text, tail)
 
 
 # --- suite driver ---------------------------------------------------------------
@@ -500,11 +487,11 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
         try:
             text, metrics_dict = runner(config, backend_factory, i)
         except BackendError as exc:
-            return i, None, {"run": i, "kind": "backend", "error": str(exc)}
+            return None, {"run": i, "kind": "backend", "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - recorded per run, batch continues
-            return i, None, {"run": i, "kind": type(exc).__name__, "error": str(exc)}
+            return None, {"run": i, "kind": type(exc).__name__, "error": str(exc)}
         run_path(i).write_text(text, encoding="utf-8")
-        return i, metrics_dict, None
+        return metrics_dict, None
 
     workers = config.workers or ((os.cpu_count() or 1) if config.backend == "remote" else 1)
     if workers == 1:
@@ -512,12 +499,11 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(config.runs)))
-    results.sort(key=lambda item: item[0])
 
     run_files: list[Path] = []
     metrics: list[dict] = []
     failures: list[dict] = []
-    for i, metrics_dict, failure in results:
+    for i, (metrics_dict, failure) in enumerate(results):
         if failure is not None:
             failures.append(failure)
             continue
@@ -528,8 +514,7 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     plot_csvs: list[Path] = []
     if metrics:
         if config.suite == "bandit":
-            aggregate_csv = out / "aggregate.csv"
-            _write_csv(aggregate_csv, *_bandit_aggregate_rows(config.agent, metrics))
+            header, row = BANDIT_HEADER, _bandit_aggregate_rows(config.agent, metrics)
             plot_csvs = _write_bandit_plots(
                 metrics,
                 config.num_arms,
@@ -538,8 +523,9 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
                 out / "plot_best_arm_fraction.csv",
             )
         else:
-            aggregate_csv = out / "aggregate.csv"
-            _write_csv(aggregate_csv, *_keymaze_aggregate_rows(config.agent, metrics))
+            header, row = KEYMAZE_HEADER, _keymaze_aggregate_rows(config.agent, metrics)
+        aggregate_csv = out / "aggregate.csv"
+        _write_csv(aggregate_csv, header, [row])
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -566,9 +552,9 @@ BANDIT_HEADER = [
 ]
 
 
-def _bandit_aggregate_rows(agent: str, metrics: list[dict]):
+def _bandit_aggregate_rows(agent: str, metrics: list[dict]) -> list:
     n = len(metrics)
-    row = [
+    return [
         agent,
         sum(m["mean_avg_reward"] for m in metrics) / n,
         sum(bool(m["suffix_failure"]) for m in metrics) / n,
@@ -576,7 +562,6 @@ def _bandit_aggregate_rows(agent: str, metrics: list[dict]):
         sum(m["cum_regret"] for m in metrics) / n,
         sum(m["invalid_count"] for m in metrics) / n,
     ]
-    return BANDIT_HEADER, [row]
 
 
 KEYMAZE_HEADER = [
@@ -591,12 +576,11 @@ KEYMAZE_HEADER = [
 ]
 
 
-def _keymaze_aggregate_rows(agent: str, metrics: list[dict]):
-    header = KEYMAZE_HEADER
+def _keymaze_aggregate_rows(agent: str, metrics: list[dict]) -> list:
     n = len(metrics)
     loops = sum(m["loops_encountered"] for m in metrics)
     recovered = sum(m["loops_recovered"] for m in metrics)
-    row = [
+    return [
         agent,
         n,
         sum(m["score"] for m in metrics) / n,
@@ -606,7 +590,6 @@ def _keymaze_aggregate_rows(agent: str, metrics: list[dict]):
         recovered,
         (recovered / loops) if loops else 0.0,
     ]
-    return header, [row]
 
 
 def _plot_series(metrics: list[dict], num_arms: int, horizon: int):
@@ -672,9 +655,10 @@ def _read_jsonl(path: Path) -> list[dict]:
             if not isinstance(record, dict):
                 raise ReportError(f"{path}:{line_no}: not a JSON object")
             version = record.get("schema_version")
-            if version != SCHEMA_VERSION:
+            if type(version) is not int or version != SCHEMA_VERSION:
                 raise SchemaVersionError(
-                    f"{path}:{line_no}: schema_version {version!r} != {SCHEMA_VERSION}"
+                    f"{path}:{line_no}: {record.get('kind', 'record')} field schema_version "
+                    f"must be the integer {SCHEMA_VERSION}, got {version!r}"
                 )
             records.append(record)
     return records
@@ -703,6 +687,19 @@ _REPORT_FIELDS = {
 }
 
 
+def _check_fields(path: Path, kind: str, record: dict, rules) -> None:
+    """Raise :class:`ReportError` unless ``record`` holds every field of ``rules``, each fit."""
+    missing = [name for name, _ in rules if name not in record]
+    if missing:
+        raise ReportError(f"{path}: {kind} record lacks {', '.join(missing)}")
+    for name, (types, check, requirement) in rules:
+        value = record[name]
+        if not _fits(value, types, check):
+            raise ReportError(
+                f"{path}: {kind} field {name} must be {requirement}, got {value!r}"
+            )
+
+
 def _pulls_fit(pulls: list, num_arms: int, horizon: int) -> bool:
     """Whether ``pulls`` holds at most ``horizon`` arms, each ``null``,
     ``INVALID_PULL`` or an integer in ``[0, num_arms)``."""
@@ -717,11 +714,12 @@ def report(input_dir, output_dir) -> list[Path]:
     """Aggregate a directory of run JSONL files into summary tables and plot CSVs.
 
     Raises :class:`ReportError` (before writing anything) when the directory
-    holds no artifacts, any line fails the schema check or is not a JSON
-    object, a config or metrics record lacks a field read here or holds one
-    of the wrong type, a bandit run's ``pulls`` do not fit its
-    ``(num_arms, horizon)``, or one bandit agent's runs differ in
-    ``(num_arms, horizon)``.
+    holds no artifacts, any line is not a JSON object or its
+    ``schema_version`` is not exactly the integer :data:`SCHEMA_VERSION`, a
+    config record's ``suite`` is not one of :data:`SUITES`, a config or
+    metrics record lacks a field read here or holds one of the wrong type, a
+    bandit run's ``pulls`` do not fit its ``(num_arms, horizon)``, or one
+    bandit agent's runs differ in ``(num_arms, horizon)``.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -737,21 +735,11 @@ def report(input_dir, output_dir) -> list[Path]:
         metrics = next((r for r in records if r.get("kind") == "metrics"), None)
         if header is None or metrics is None:
             raise ReportError(f"{path}: missing config or metrics record")
-        suite = "bandit" if header.get("suite") == "bandit" else "keymaze"
+        _check_fields(path, "config", header, (("suite", _SUITE),))
+        suite = header["suite"]
         config_fields, metrics_fields = _REPORT_FIELDS[suite]
-        for kind, record, rules in (
-            ("config", header, config_fields),
-            ("metrics", metrics, metrics_fields),
-        ):
-            missing = [name for name, _ in rules if name not in record]
-            if missing:
-                raise ReportError(f"{path}: {kind} record lacks {', '.join(missing)}")
-            for name, (types, check, requirement) in rules:
-                value = record[name]
-                if not _fits(value, types, check):
-                    raise ReportError(
-                        f"{path}: {kind} field {name} must be {requirement}, got {value!r}"
-                    )
+        _check_fields(path, "config", header, config_fields)
+        _check_fields(path, "metrics", metrics, metrics_fields)
         if suite == "bandit":
             agent = header["agent"]
             shape = (header["num_arms"], header["horizon"])
@@ -775,9 +763,9 @@ def report(input_dir, output_dir) -> list[Path]:
     written: list[Path] = []
 
     if bandit_metrics:
-        rows = []
-        for agent in sorted(bandit_metrics):
-            rows += _bandit_aggregate_rows(agent, bandit_metrics[agent])[1]
+        rows = [
+            _bandit_aggregate_rows(agent, bandit_metrics[agent]) for agent in sorted(bandit_metrics)
+        ]
         table = out / "metric_table.csv"
         _write_csv(table, BANDIT_HEADER, rows)
         written.append(table)
@@ -793,7 +781,7 @@ def report(input_dir, output_dir) -> list[Path]:
 
     if keymaze_metrics:
         rows = [
-            _keymaze_aggregate_rows(agent, keymaze_metrics[agent])[1][0]
+            _keymaze_aggregate_rows(agent, keymaze_metrics[agent])
             for agent in sorted(keymaze_metrics)
         ]
         table = out / "loops_table.csv"

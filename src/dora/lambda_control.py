@@ -111,7 +111,10 @@ def extract_lambda(raw_text: str) -> float | None:
     value = obj.get("lambda")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a float
+        return None
     if not math.isfinite(value):
         return None
     return value

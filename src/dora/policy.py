@@ -278,19 +278,16 @@ def greedy_action(
     backend: PolicyBackend,
     context: Sequence[dict],
     prompt_kind: PromptKind = PromptKind.GREEDY_ACTION,
-) -> CandidateAction:
-    """Decode a single action at temperature 0 and normalize it."""
+) -> str:
+    """Decode a single action at temperature 0 and normalize it.
+
+    Only the action is read; the reply's log-probabilities are not.
+    """
     reply = backend.complete(PolicyRequest(tuple(context), 0.0, prompt_kind))
     text = first_action(reply.text)
     if not text:
         raise BackendError("policy returned an empty greedy action")
-    if backend.supports_rescoring:
-        lps = backend.rescore(context, text)
-    elif reply.token_logprobs:
-        lps = [lp for _, lp in reply.token_logprobs]
-    else:
-        lps = [0.0]
-    return _candidate(text, lps)
+    return text
 
 
 # --- deterministic scripted mock -------------------------------------------
@@ -525,19 +522,28 @@ class RemotePolicy(PolicyBackend):
         data = self._post(payload)
         try:
             choice = data["choices"][0]
-            text = choice["message"]["content"] or ""
+            content = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
+        if content is not None and not isinstance(content, str):
+            raise BackendError(f"message content must be a string or null, got {content!r}")
+        text = content or ""
+        # Log-probabilities that are not as expected leave the reply without them.
         token_logprobs = None
-        logprob_block = (choice.get("logprobs") or {}).get("content")
+        logprobs = choice.get("logprobs")
+        logprob_block = logprobs.get("content") if isinstance(logprobs, dict) else None
         if logprob_block:
             try:
                 token_logprobs = [(item["token"], float(item["logprob"])) for item in logprob_block]
-            except (KeyError, TypeError, ValueError):
+                if not all(isinstance(token, str) for token, _ in token_logprobs):
+                    token_logprobs = None
+            except (KeyError, TypeError, ValueError, OverflowError):
                 token_logprobs = None
-        usage = data.get("usage") or {}
-        token_count = int(
-            usage.get("completion_tokens")
-            or (len(token_logprobs) if token_logprobs else len(text.split()))
-        )
+        usage = data.get("usage")
+        if usage is not None and not isinstance(usage, dict):
+            raise BackendError(f"usage must be an object, got {usage!r}")
+        tokens = (usage or {}).get("completion_tokens")
+        if tokens is not None and (type(tokens) is not int or tokens < 0):
+            raise BackendError(f"usage.completion_tokens must be an integer >= 0, got {tokens!r}")
+        token_count = tokens or (len(token_logprobs) if token_logprobs else len(text.split()))
         return self._count(PolicyReply(text, token_logprobs, token_count))

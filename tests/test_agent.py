@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from dora.agent import (
+    HISTORY_WINDOW,
+    INVALID_ACTION,
     DoraParams,
     FallbackReason,
     StepRecord,
@@ -272,13 +274,12 @@ class TestDoraStepExploreBranch:
 
 class TestDoraStepErrors:
     def test_backend_error_yields_invalid_record(self):
-        params = DoraParams(system_prompt="x", invalid_action="<invalid>")
         registry = UsedActionRegistry()
         record = dora_step(
-            FailingBackend(), FLAT_LAMBDA, registry, [], OBS, params, np.random.default_rng(0)
+            FailingBackend(), FLAT_LAMBDA, registry, [], OBS, PARAMS, np.random.default_rng(0)
         )
         assert record.fallback_reason is FallbackReason.BACKEND_ERROR
-        assert record.chosen_action == "<invalid>"
+        assert record.chosen_action == INVALID_ACTION
         assert registry.used(OBS) == frozenset()
 
     def test_empty_observation_rejected(self):
@@ -307,19 +308,18 @@ class TestUsedActionRegistry:
 
 class TestBuildTextContext:
     def test_window_and_reward_folding(self):
-        params = DoraParams(system_prompt="sys", history_window=2)
+        params = DoraParams(system_prompt="sys")
         history = [
-            ("obs0", "act0", 0.0),
-            ("obs1", "act1", 0.5),
-            ("obs2", "act2", 0.0),
+            (f"obs{k}", f"act{k}", 0.5 if k == 1 else 0.0) for k in range(HISTORY_WINDOW + 1)
         ]
-        messages = build_text_context(history, "obs3", params)
+        messages = build_text_context(history, "now", params)
         assert messages[0] == {"role": "system", "content": "sys"}
-        # window keeps the last two triples
+        # window keeps the last HISTORY_WINDOW triples
+        assert len(messages) == 1 + 2 * HISTORY_WINDOW + 1
         assert messages[1]["content"] == "obs1"
         assert messages[2] == {"role": "assistant", "content": "act1"}
         assert messages[3]["content"].startswith("[reward: 0.5]")
-        assert messages[-1] == {"role": "user", "content": "obs3"}
+        assert messages[-1] == {"role": "user", "content": "now"}
 
 
 class TestRunEpisode:
@@ -459,7 +459,7 @@ class TestTemperatureStep:
             assert request.temperature == self.tau(t)
             assert request.prompt_kind is PromptKind.GREEDY_ACTION
         assert requests[2].context[-1]["content"].startswith("[reward: 0.25]\n")
-        assert len(requests[-1].context) == 1 + 2 * self.PARAMS.history_window + 1
+        assert len(requests[-1].context) == 1 + 2 * HISTORY_WINDOW + 1
 
     def test_first_action_line_is_played(self):
         log, _ = self.play(['\n- \n1. "Go North"\nlook'], 1)

@@ -684,6 +684,7 @@ class TestReport:
             ("config", "num_arms"),
             ("config", "horizon"),
             ("config", "agent"),
+            ("config", "suite"),
             ("metrics", "mean_avg_reward"),
             ("metrics", "invalid_count"),
             ("metrics", "pulls"),
@@ -712,6 +713,10 @@ class TestReport:
             ("config", "horizon", True),
             ("config", "horizon", 20.0),
             ("config", "agent", 5),
+            ("config", "suite", "maze"),
+            ("config", "suite", None),
+            ("config", "schema_version", True),
+            ("metrics", "schema_version", 1.0),
             ("metrics", "best_arm", None),
             ("metrics", "mean_avg_reward", "0.5"),
             ("metrics", "cum_regret", None),
@@ -780,6 +785,8 @@ class TestReport:
         "kind,name,value",
         [
             ("config", "agent", None),
+            ("config", "suite", "chess"),
+            ("config", "schema_version", "1"),
             ("metrics", "score", "0.5"),
             ("metrics", "steps", 5.0),
             ("metrics", "unique_states", False),

@@ -129,6 +129,7 @@ class TestParseLambdaReply:
             "{",
             "[1,2]",
             '{"lambda": null}',
+            '{"lambda": %s}' % ("9" * 400),
         ]
         for raw in junk:
             assert 0.0 <= self.explore(raw)[0].lam <= 40.0, raw
@@ -148,6 +149,7 @@ class TestExtractLambda:
         assert extract_lambda('{"lambda": Infinity}') is None
         assert extract_lambda('{"lambda": NaN}') is None
         assert extract_lambda('{"lambda": true}') is None
+        assert extract_lambda('{"lambda": %s}' % ("9" * 400)) is None
         assert extract_lambda("I choose lambda 3") is None
 
 

@@ -14,6 +14,7 @@ from dora.policy import (
     PolicyReply,
     PolicyRequest,
     PromptKind,
+    RemotePolicy,
     ScriptEntry,
     ScriptExhaustedError,
     decide_mode,
@@ -198,12 +199,11 @@ class TestGenerateCandidates:
 class TestGreedyAction:
     def test_mock_passthrough(self):
         mock = MockPolicy([ScriptEntry.greedy("Press Red Button")])
-        action = greedy_action(mock, CTX)
-        assert action.text == "press red button"
+        assert greedy_action(mock, CTX) == "press red button"
 
     def test_first_non_empty_line(self):
         mock = MockPolicy([ScriptEntry.greedy("\n\n  go north\nextra")])
-        assert greedy_action(mock, CTX).text == "go north"
+        assert greedy_action(mock, CTX) == "go north"
 
     def test_requested_at_temperature_zero(self):
         temps = []
@@ -216,26 +216,13 @@ class TestGreedyAction:
         greedy_action(Spy([ScriptEntry.greedy("look")]), CTX)
         assert temps == [0.0]
 
-    def test_uses_reply_logprobs_when_present(self):
-        entry = ScriptEntry(
-            PromptKind.GREEDY_ACTION, "look", token_logprobs=(("look", -0.25),)
-        )
-        action = greedy_action(MockPolicy([entry]), CTX)
-        assert action.token_logprobs == (-0.25,)
-
-    @pytest.mark.parametrize("bad", [float("-inf"), float("nan"), 0.25])
-    def test_bad_reply_logprob_is_backend_error(self, bad):
-        entry = ScriptEntry(PromptKind.GREEDY_ACTION, "look", token_logprobs=(("look", bad),))
-        with pytest.raises(BackendError):
-            greedy_action(MockPolicy([entry]), CTX)
-
     @pytest.mark.parametrize(
         "text", ["look", "\n\n  go north\nextra", '- \n1. "Open Chest"\nlook', "", "\n  \n- \n"]
     )
     def test_parses_its_reply_with_first_action(self, text):
         mock = MockPolicy([ScriptEntry.greedy(text)])
         if first_action(text):
-            assert greedy_action(mock, CTX).text == first_action(text)
+            assert greedy_action(mock, CTX) == first_action(text)
         else:
             with pytest.raises(BackendError, match="empty greedy action"):
                 greedy_action(mock, CTX)
@@ -259,9 +246,9 @@ class TestMockPolicy:
                 ScriptEntry.greedy("second"),
             ]
         )
-        assert greedy_action(mock, CTX).text == "first"
+        assert greedy_action(mock, CTX) == "first"
         assert decide_mode(mock, CTX) is Mode.EXPLORE
-        assert greedy_action(mock, CTX).text == "second"
+        assert greedy_action(mock, CTX) == "second"
 
     def test_exhaustion_raises(self):
         mock = MockPolicy([ScriptEntry.greedy("only")])
@@ -276,7 +263,7 @@ class TestMockPolicy:
 
     def test_loop_cycles_entries(self):
         mock = MockPolicy([ScriptEntry.greedy("a"), ScriptEntry.greedy("b")], loop=True)
-        texts = [greedy_action(mock, CTX).text for _ in range(5)]
+        texts = [greedy_action(mock, CTX) for _ in range(5)]
         assert texts == ["a", "b", "a", "b", "a"]
 
     def test_token_accounting(self):
@@ -327,11 +314,14 @@ class TestMockPolicy:
             rescores={"go north": [-0.5], "look": [-0.9]},
         )
         first = template.fresh()
-        assert greedy_action(first, CTX).text == "go north"
+        assert greedy_action(first, CTX) == "go north"
+        assert first.rescore(CTX, "go north") == [-0.5]
         second = template.fresh()
         assert (second.calls, second.rescore_calls, second.tokens_used) == ([], 0, 0)
-        assert greedy_action(second, CTX).text == "go north"
-        assert greedy_action(first, CTX).text == "look"
+        assert greedy_action(second, CTX) == "go north"
+        assert second.rescore(CTX, "go north") == [-0.5]
+        assert greedy_action(first, CTX) == "look"
+        assert first.rescore(CTX, "look") == [-0.9]
         assert (first.calls, first.rescore_calls) == ([PromptKind.GREEDY_ACTION] * 2, 2)
         assert (second.calls, second.rescore_calls) == ([PromptKind.GREEDY_ACTION], 1)
         assert (first.tokens_used, second.tokens_used) == (3, 2)
@@ -367,3 +357,36 @@ class TestRequestReplyContracts:
     def test_negative_token_count_rejected(self):
         with pytest.raises(ValueError):
             PolicyReply("x", None, -1)
+
+
+def completion(content="go north", logprobs=None, usage=None) -> dict:
+    """A chat-completion reply body with one choice."""
+    return {
+        "choices": [{"message": {"content": content}, "logprobs": logprobs}],
+        "usage": usage,
+    }
+
+
+class TestRemotePolicy:
+    @pytest.mark.parametrize(
+        "data,field",
+        [
+            (completion(usage={"completion_tokens": -3}), "completion_tokens"),
+            (completion(usage={"completion_tokens": "abc"}), "completion_tokens"),
+            (completion(usage=[3]), "usage"),
+            (completion(content=7), "content"),
+            (completion(logprobs=[{"token": "go", "logprob": -0.1}]), None),
+            (completion(logprobs={"content": [{"token": 5, "logprob": -0.1}]}), None),
+            (completion(logprobs={"content": [{"token": "go", "logprob": 10**400}]}), None),
+        ],
+    )
+    def test_malformed_reply_is_a_backend_error_or_has_no_logprobs(self, data, field):
+        backend = RemotePolicy(base_url="http://localhost:1", model="m")
+        backend._post = lambda payload: data
+        request = PolicyRequest(CTX, 0.0)
+        if field is not None:
+            with pytest.raises(BackendError, match=field):
+                backend.complete(request)
+        else:
+            reply = backend.complete(request)
+            assert (reply.text, reply.token_logprobs, reply.token_count) == ("go north", None, 2)
