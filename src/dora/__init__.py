@@ -74,11 +74,8 @@ from .scoring import (
     LambdaDistribution,
     ScoreParams,
     lambda_probabilities,
-    mean_logprob,
-    minmax_normalize,
     sample_categorical,
     score_candidates,
-    variance_logprob,
 )
 from .textenv import (
     EnvError,

@@ -102,9 +102,6 @@ class UsedActionRegistry:
     def add(self, observation: str, action: str) -> None:
         self._sets.setdefault(self._key(observation), set()).add(action)
 
-    def size(self, observation: str) -> int:
-        return len(self._sets.get(self._key(observation), ()))
-
 
 def build_text_context(
     history: Sequence[HistoryTriple], observation: str, params: DoraParams
@@ -249,11 +246,9 @@ class EpisodeLog:
     rewards: list[float] = field(default_factory=list)
     observations: list[str] = field(default_factory=list)
     terminal: bool = False
-    truncated: bool = False
     partial: bool = False
     score: float = 0.0
     token_count: int = 0
-    seed: int | None = None
 
     @property
     def num_steps(self) -> int:
@@ -278,7 +273,7 @@ def drive_episode(
 
     observation = env.reset(seed)
     history: list[HistoryTriple] = []
-    log = EpisodeLog(observations=[observation], seed=seed)
+    log = EpisodeLog(observations=[observation])
     tokens_before = backend.tokens_used
 
     for t in range(max_steps):
@@ -298,7 +293,6 @@ def drive_episode(
             log.terminal = True
             break
 
-    log.truncated = not log.terminal and not log.partial
     log.token_count = backend.tokens_used - tokens_before
     return log
 

@@ -145,11 +145,8 @@ def parse_answer_envelope(text: str) -> int | None:
 
 
 def arm_from_action(text: str) -> int | None:
-    """Map an action string to an arm: strict envelope first, then a loose
-    'press COLOR button' phrase (the normalized candidate form)."""
-    arm = parse_answer_envelope(text)
-    if arm is not None:
-        return arm
+    """Map an action string to an arm by its 'press COLOR button' phrase, which
+    the normalized candidate form and the strict answer envelope both hold."""
     match = _LOOSE_PRESS_RE.search(text)
     if match is None:
         return None
@@ -198,41 +195,40 @@ class _EmpiricalMeans:
         self.sums[arm] += reward
 
 
-class UcbPolicy(_EmpiricalMeans):
-    """Empirical mean plus a sqrt(c / n) bonus; one initial pull of every arm."""
+# The c of UCB's sqrt(c / n) exploration bonus.
+UCB_BONUS = 1.0
 
-    def __init__(self, bonus: float = 1.0) -> None:
-        self.bonus = bonus
+
+class UcbPolicy(_EmpiricalMeans):
+    """Empirical mean plus a sqrt(UCB_BONUS / n) bonus; one initial pull of every arm."""
 
     def select(self, t: int, rng: np.random.Generator) -> int:
         if 0 in self.counts:
             return self.counts.index(0)
-        bonus = self.bonus
-        return _argmax([s / n + math.sqrt(bonus / n) for s, n in zip(self.sums, self.counts)])
+        return _argmax([s / n + math.sqrt(UCB_BONUS / n) for s, n in zip(self.sums, self.counts)])
+
+
+# Every Thompson-sampling arm starts from the uniform prior Beta(1, 1).
+TS_ALPHA0 = 1.0
+TS_BETA0 = 1.0
 
 
 class ThompsonPolicy:
-    """Independent Beta-Bernoulli posteriors, initialized at Beta(1, 1).
+    """Independent Beta-Bernoulli posteriors, initialized at Beta(TS_ALPHA0, TS_BETA0).
 
     One ``rng.beta(a, b)`` call per arm, in arm order, draws the same stream
     as one call on the parameter vectors, without its per-call array checks.
     """
 
-    def __init__(self, alpha0: float = 1.0, beta0: float = 1.0) -> None:
-        self.alpha0 = alpha0
-        self.beta0 = beta0
-
     def reset(self, num_arms: int) -> None:
-        self.alpha = [float(self.alpha0)] * num_arms
-        self.beta = [float(self.beta0)] * num_arms
-        self.counts = [0] * num_arms
+        self.alpha = [TS_ALPHA0] * num_arms
+        self.beta = [TS_BETA0] * num_arms
 
     def select(self, t: int, rng: np.random.Generator) -> int:
         beta = rng.beta
         return _argmax([beta(a, b) for a, b in zip(self.alpha, self.beta)])
 
     def update(self, arm: int, reward: int) -> None:
-        self.counts[arm] += 1
         if reward:
             self.alpha[arm] += 1
         else:
@@ -248,21 +244,21 @@ class GreedyPolicy(_EmpiricalMeans):
         return _argmax([s / n for s, n in zip(self.sums, self.counts)])
 
 
+EPSILON0 = 0.1
+EPSILON_DECAY = 0.99
+
+
 class EpsilonGreedyPolicy(_EmpiricalMeans):
     """Random arm with probability epsilon, else argmax of empirical means.
 
     No initialization sweep: unpulled arms count as mean 0 and exploration is
-    left entirely to the epsilon draws. Epsilon decays multiplicatively after
-    every update.
+    left entirely to the epsilon draws. Epsilon starts at :data:`EPSILON0`
+    and decays by :data:`EPSILON_DECAY` after every update.
     """
-
-    def __init__(self, epsilon0: float = 0.1, decay: float = 0.99) -> None:
-        self.epsilon0 = epsilon0
-        self.decay = decay
 
     def reset(self, num_arms: int) -> None:
         super().reset(num_arms)
-        self.epsilon = self.epsilon0
+        self.epsilon = EPSILON0
 
     def select(self, t: int, rng: np.random.Generator) -> int:
         if rng.random() < self.epsilon:
@@ -271,7 +267,7 @@ class EpsilonGreedyPolicy(_EmpiricalMeans):
 
     def update(self, arm: int, reward: int) -> None:
         super().update(arm, reward)
-        self.epsilon *= self.decay
+        self.epsilon *= EPSILON_DECAY
 
 
 class ScheduledSoftmaxAgent(_EmpiricalMeans):
@@ -288,12 +284,15 @@ class ScheduledSoftmaxAgent(_EmpiricalMeans):
         return sample_categorical(dist, rng)
 
 
-def decaying_temperature(
-    horizon: int, tau_max: float = 2.0, k: float = 5.0
-) -> Callable[[int], float]:
-    """Exponentially decaying temperature from tau_max at t=0 to 0 at t=horizon."""
-    schedule = LambdaSchedule(0.0, tau_max, k, horizon)
-    return lambda t: tau_max - lambda_exp(schedule, min(max(t, 0), horizon))
+# The temperature baseline's decaying schedule: its start and growth rate k.
+TAU_MAX = 2.0
+TAU_DECAY_K = 5.0
+
+
+def decaying_temperature(horizon: int) -> Callable[[int], float]:
+    """Exponentially decaying temperature from TAU_MAX at t=0 to 0 at t=horizon."""
+    schedule = LambdaSchedule(0.0, TAU_MAX, TAU_DECAY_K, horizon)
+    return lambda t: TAU_MAX - lambda_exp(schedule, min(max(t, 0), horizon))
 
 
 # --- running -------------------------------------------------------------------

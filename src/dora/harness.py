@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -243,16 +243,12 @@ class ExperimentConfig:
 
 @dataclass
 class RunArtifacts:
-    output_dir: Path
-    run_files: list[Path]
-    metrics: list[dict]
-    aggregate_csv: Path | None
-    plot_csvs: list[Path]
-    failures: list[dict] = field(default_factory=list)
+    """Where a suite wrote its files, the metrics line of each finished run in
+    run order, and one record per failed run."""
 
-    @property
-    def complete(self) -> bool:
-        return not self.failures
+    output_dir: Path
+    metrics: list[dict]
+    failures: list[dict]
 
 
 def fmt(value) -> str:
@@ -480,9 +476,6 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
 
     runner = _run_bandit_one if config.suite == "bandit" else _run_keymaze_one
 
-    def run_path(i: int) -> Path:
-        return out / f"{config.agent}_run{i:04d}.jsonl"
-
     def one(i: int):
         try:
             text, metrics_dict = runner(config, backend_factory, i)
@@ -490,7 +483,7 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
             return None, {"run": i, "kind": "backend", "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - recorded per run, batch continues
             return None, {"run": i, "kind": type(exc).__name__, "error": str(exc)}
-        run_path(i).write_text(text, encoding="utf-8")
+        (out / f"{config.agent}_run{i:04d}.jsonl").write_text(text, encoding="utf-8")
         return metrics_dict, None
 
     workers = config.workers or ((os.cpu_count() or 1) if config.backend == "remote" else 1)
@@ -500,22 +493,12 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(config.runs)))
 
-    run_files: list[Path] = []
-    metrics: list[dict] = []
-    failures: list[dict] = []
-    for i, (metrics_dict, failure) in enumerate(results):
-        if failure is not None:
-            failures.append(failure)
-            continue
-        run_files.append(run_path(i))
-        metrics.append(metrics_dict)
-
-    aggregate_csv = None
-    plot_csvs: list[Path] = []
+    metrics = [metrics_dict for metrics_dict, failure in results if failure is None]
+    failures = [failure for _, failure in results if failure is not None]
     if metrics:
         if config.suite == "bandit":
             header, row = BANDIT_HEADER, _bandit_aggregate_rows(config.agent, metrics)
-            plot_csvs = _write_bandit_plots(
+            _write_bandit_plots(
                 metrics,
                 config.num_arms,
                 config.horizon,
@@ -524,8 +507,7 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
             )
         else:
             header, row = KEYMAZE_HEADER, _keymaze_aggregate_rows(config.agent, metrics)
-        aggregate_csv = out / "aggregate.csv"
-        _write_csv(aggregate_csv, header, [row])
+        _write_csv(out / "aggregate.csv", header, [row])
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -539,7 +521,7 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    return RunArtifacts(out, run_files, metrics, aggregate_csv, plot_csvs, failures)
+    return RunArtifacts(out, metrics, failures)
 
 
 BANDIT_HEADER = [

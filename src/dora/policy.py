@@ -27,7 +27,6 @@ import math
 import os
 import re
 import time
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -405,10 +404,6 @@ class MockPolicy(PolicyBackend):
         return cls(entries, spec.get("rescores"), bool(spec.get("loop", False)))
 
     @property
-    def call_counts(self) -> Counter:
-        return Counter(self.calls)
-
-    @property
     def supports_rescoring(self) -> bool:
         return self._rescores is not None
 
@@ -449,6 +444,14 @@ ENV_API_BASE = "DORA_API_BASE"
 ENV_API_KEY = "DORA_API_KEY"
 ENV_MODEL = "DORA_MODEL"
 
+# What every remote request asks for, and how a failed one is retried: the
+# wait before retry n (from 0) is BACKOFF_S * 2**n seconds.
+MAX_TOKENS = 256
+REQUEST_LOGPROBS = True
+TIMEOUT_S = 60.0
+MAX_RETRIES = 2
+BACKOFF_S = 0.5
+
 
 class RemotePolicy(PolicyBackend):
     """Minimal JSON client for chat-completion style endpoints.
@@ -457,8 +460,9 @@ class RemotePolicy(PolicyBackend):
     ``DORA_API_KEY`` / ``DORA_MODEL`` environment variables. Requests carry
     {model, messages, temperature, max_tokens, logprobs}; responses are read
     for message content and, when present, token-level log-probabilities.
-    Transient transport failures are retried twice with exponential backoff,
-    then surfaced as :class:`BackendError`.
+    Transport failures, 5xx replies and 429 (rate limited) replies are
+    retried :data:`MAX_RETRIES` times with exponential backoff, then surfaced
+    as :class:`BackendError`.
     """
 
     def __init__(
@@ -466,11 +470,6 @@ class RemotePolicy(PolicyBackend):
         base_url: str | None = None,
         api_key: str | None = None,
         model: str | None = None,
-        max_tokens: int = 256,
-        request_logprobs: bool = True,
-        timeout: float = 60.0,
-        max_retries: int = 2,
-        backoff: float = 0.5,
     ) -> None:
         self.tokens_used = 0
         self.base_url = (base_url or os.environ.get(ENV_API_BASE, "")).rstrip("/")
@@ -481,11 +480,6 @@ class RemotePolicy(PolicyBackend):
                 f"remote backend needs {ENV_API_BASE} and {ENV_MODEL} "
                 "(environment variables or constructor arguments)"
             )
-        self.max_tokens = max_tokens
-        self.request_logprobs = request_logprobs
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
 
     def _post(self, payload: dict) -> dict:
         import requests
@@ -495,11 +489,11 @@ class RemotePolicy(PolicyBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             try:
-                resp = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    raise requests.RequestException(f"server error {resp.status_code}")
+                resp = requests.post(url, json=payload, headers=headers, timeout=TIMEOUT_S)
+                if resp.status_code >= 500 or resp.status_code == 429:
+                    raise requests.RequestException(f"endpoint returned {resp.status_code}")
                 if resp.status_code != 200:
                     raise BackendError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
                 return resp.json()
@@ -507,17 +501,17 @@ class RemotePolicy(PolicyBackend):
                 raise
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff * (2**attempt))
-        raise BackendError(f"transport failed after {self.max_retries + 1} attempts: {last_error}")
+                if attempt < MAX_RETRIES:
+                    time.sleep(BACKOFF_S * (2**attempt))
+        raise BackendError(f"transport failed after {MAX_RETRIES + 1} attempts: {last_error}")
 
     def complete(self, request: PolicyRequest) -> PolicyReply:
         payload = {
             "model": self.model,
             "messages": [dict(m) for m in request.context],
             "temperature": request.temperature,
-            "max_tokens": self.max_tokens,
-            "logprobs": self.request_logprobs,
+            "max_tokens": MAX_TOKENS,
+            "logprobs": REQUEST_LOGPROBS,
         }
         data = self._post(payload)
         try:
@@ -545,5 +539,7 @@ class RemotePolicy(PolicyBackend):
         tokens = (usage or {}).get("completion_tokens")
         if tokens is not None and (type(tokens) is not int or tokens < 0):
             raise BackendError(f"usage.completion_tokens must be an integer >= 0, got {tokens!r}")
-        token_count = tokens or (len(token_logprobs) if token_logprobs else len(text.split()))
-        return self._count(PolicyReply(text, token_logprobs, token_count))
+        if tokens is None:
+            tokens = len(token_logprobs) if token_logprobs else len(text.split())
+        return self._count(PolicyReply(text, token_logprobs, tokens))
+

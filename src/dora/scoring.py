@@ -48,20 +48,17 @@ class CandidateAction:
 
 @dataclass(frozen=True)
 class ScoreParams:
-    """Scoring weight alpha in [0, 1] and the min-max normalization guard epsilon > 0.
+    """Scoring weight alpha in [0, 1].
 
     alpha weighs the normalized mean log-probability; (1 - alpha) weighs the
     (negated) normalized variance.
     """
 
     alpha: float = 0.8
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
 
 
 @dataclass
@@ -83,18 +80,8 @@ class LambdaDistribution:
             raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_TOL}")
 
 
-def mean_logprob(candidate: CandidateAction) -> float:
-    """Arithmetic mean of the candidate's token log-probabilities."""
-    lps = candidate.token_logprobs
-    return sum(lps) / len(lps)
-
-
-def variance_logprob(candidate: CandidateAction) -> float:
-    """Population variance (divide by N, no Bessel correction) of the token log-probabilities."""
-    return _moments(candidate.token_logprobs)[1]
-
-
 def _moments(lps: tuple[float, ...]) -> tuple[float, float]:
+    """Mean and population variance (divided by N) of the token log-probabilities."""
     mu = sum(lps) / len(lps)
     return mu, sum((lp - mu) ** 2 for lp in lps) / len(lps)
 
@@ -105,7 +92,9 @@ def _moments(lps: tuple[float, ...]) -> tuple[float, float]:
 # result is bit-identical to it.
 
 
-def _minmax(values: Sequence[float], epsilon: float) -> list[float]:
+def _minmax(values: Sequence[float]) -> list[float]:
+    """Map values to [0, 1) via (x - min) / (max - min + DEFAULT_EPSILON);
+    an all-equal vector maps to zeros."""
     lo = min(values)
     hi = max(values)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -114,24 +103,8 @@ def _minmax(values: Sequence[float], epsilon: float) -> list[float]:
         # A -0.0 minimum next to +0.0: which zero numpy's min returns depends
         # on positions and vector width, and it sets the sign of -0.0 - lo.
         lo = float(np.min(values))
-    span = hi - lo + epsilon
+    span = hi - lo + DEFAULT_EPSILON
     return [(x - lo) / span for x in values]
-
-
-def minmax_normalize(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Map values to [0, 1) via (x - min) / (max - min + epsilon).
-
-    The epsilon guard keeps an all-equal vector well defined: it collapses
-    to all zeros.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise ValueError("values must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("values must be finite")
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    return np.array(_minmax(arr.tolist(), epsilon))
 
 
 def score_candidates(candidates, params: ScoreParams | None = None) -> np.ndarray:
@@ -147,8 +120,8 @@ def score_candidates(candidates, params: ScoreParams | None = None) -> np.ndarra
     if not cands:
         raise ValueError("candidate set must be non-empty")
     means, variances = zip(*(_moments(c.token_logprobs) for c in cands))
-    norm_means = _minmax(means, params.epsilon)
-    norm_vars = _minmax(variances, params.epsilon)
+    norm_means = _minmax(means)
+    norm_vars = _minmax(variances)
     alpha = params.alpha
     beta = 1.0 - alpha
     return np.array([alpha * m - beta * v for m, v in zip(norm_means, norm_vars)])

@@ -87,10 +87,6 @@ class KeyMazeWorld:
     def horizon(self) -> int:
         return int(self._def.get("horizon", 100))
 
-    @property
-    def done(self) -> bool:
-        return self._started and self._terminal
-
     def reset(self, seed: int | None = None) -> str:
         """Start a fresh episode and return the first observation (seed is unused:
         the world is fully deterministic, the argument exists for interface parity)."""

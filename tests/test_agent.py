@@ -256,7 +256,7 @@ class TestDoraStepExploreBranch:
         )
         assert record.lam == 20.0  # midpoint fallback
         assert record.fallback_reason is FallbackReason.PARSE_FAILURE
-        assert mock.call_counts[PromptKind.LAMBDA_DECISION] == 2
+        assert mock.calls.count(PromptKind.LAMBDA_DECISION) == 2
 
     def test_lambda_reply_clamped(self):
         mock = MockPolicy(explore_script(self.CANDIDATES, lam=99.0))
@@ -294,10 +294,10 @@ class TestUsedActionRegistry:
         sizes = []
         for i in range(6):
             registry.add(OBS, f"action {i}")
-            sizes.append(registry.size(OBS))
+            sizes.append(len(registry.used(OBS)))
         assert sizes == sorted(sizes)
         registry.add(OBS, "action 0")  # re-adding never shrinks
-        assert registry.size(OBS) == 6
+        assert len(registry.used(OBS)) == 6
 
     def test_keys_are_per_observation(self):
         registry = UsedActionRegistry()
@@ -358,7 +358,7 @@ class TestRunEpisode:
                 "rewards": log.rewards,
                 "observations": log.observations,
                 "terminal": log.terminal,
-                "truncated": log.truncated,
+                "partial": log.partial,
                 "score": log.score,
                 "tokens": log.token_count,
             }
@@ -379,7 +379,7 @@ class TestRunEpisode:
         assert len(log.observations) == 9
         assert len(log.rewards) == 8
         assert log.token_count > 0
-        assert log.truncated and not log.terminal
+        assert not log.terminal and not log.partial
 
     def test_bandit_env_concentrates_late(self):
         # Explore every step on the 5-arm bandit with scheduled lambda in

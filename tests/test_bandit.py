@@ -119,11 +119,13 @@ class TestThompsonPolicy:
         policy = ThompsonPolicy()
         rng = np.random.default_rng([9, 1])
         policy.reset(5)
+        counts = [0] * 5
         for t in range(200):
             arm = policy.select(t, rng)
             reward = 1 if rng.random() < instance.arm_means[arm] else 0
             policy.update(arm, reward)
-            assert [a + b - 2 for a, b in zip(policy.alpha, policy.beta)] == policy.counts
+            counts[arm] += 1
+            assert [a + b - 2 for a, b in zip(policy.alpha, policy.beta)] == counts
 
 
 class TestGreedyPolicy:
@@ -153,16 +155,18 @@ class TestEpsilonGreedyPolicy:
     def test_no_initial_sweep(self):
         # With unpulled means treated as zero and epsilon inactive, the
         # argmax stays on the lowest index until rewards differentiate arms.
-        policy = EpsilonGreedyPolicy(epsilon0=0.0)
+        policy = EpsilonGreedyPolicy()
         policy.reset(5)
+        policy.epsilon = 0.0
         rng = np.random.default_rng(0)
         assert policy.select(0, rng) == 0
         policy.update(0, 0)
         assert policy.select(1, rng) == 0
 
     def test_exploits_known_best(self):
-        policy = EpsilonGreedyPolicy(epsilon0=0.0)
+        policy = EpsilonGreedyPolicy()
         policy.reset(3)
+        policy.epsilon = 0.0
         policy.update(2, 1)
         assert policy.select(1, np.random.default_rng(1)) == 2
 

@@ -26,6 +26,15 @@ from dora.policy import PolicyRequest, PromptKind
 BANDIT_ACTIONS = "press blue button\npress green button\npress red button\npress yellow button\npress purple button"
 
 
+def run_files(artifacts) -> list[Path]:
+    return sorted(artifacts.output_dir.glob("*.jsonl"))
+
+
+def suite_files(artifacts) -> dict[str, bytes]:
+    """Every file a suite wrote, by name."""
+    return {path.name: path.read_bytes() for path in sorted(artifacts.output_dir.iterdir())}
+
+
 def write_bandit_mock(path: Path, loop: bool = True) -> str:
     script = {
         "loop": loop,
@@ -151,28 +160,22 @@ class TestBanditSuite:
 
     def test_classical_artifacts(self, tmp_path):
         artifacts = run_suite(self.run_config(tmp_path, "out"))
-        assert artifacts.complete
-        assert len(artifacts.run_files) == 4
-        header = artifacts.aggregate_csv.read_text().splitlines()[0]
+        assert not artifacts.failures
+        assert len(run_files(artifacts)) == 4
+        header = (artifacts.output_dir / "aggregate.csv").read_text().splitlines()[0]
         assert header == "agent,mean_avg_reward,suffix_fail_freq,best_arm_frac,cum_regret,invalid_count"
-        for line in artifacts.run_files[0].read_text().splitlines():
+        for line in run_files(artifacts)[0].read_text().splitlines():
             assert json.loads(line)["schema_version"] == SCHEMA_VERSION
 
     def test_byte_identical_reruns(self, tmp_path):
         a = run_suite(self.run_config(tmp_path, "a"))
         b = run_suite(self.run_config(tmp_path, "b"))
-        assert a.aggregate_csv.read_bytes() == b.aggregate_csv.read_bytes()
-        for pa, pb in zip(a.plot_csvs, b.plot_csvs):
-            assert pa.read_bytes() == pb.read_bytes()
-        for fa, fb in zip(a.run_files, b.run_files):
-            assert fa.read_bytes() == fb.read_bytes()
+        assert suite_files(a) == suite_files(b)
 
     def test_worker_count_does_not_change_artifacts(self, tmp_path):
         serial = run_suite(self.run_config(tmp_path, "w1", workers=1, runs=8))
         pooled = run_suite(self.run_config(tmp_path, "w4", workers=4, runs=8))
-        assert serial.aggregate_csv.read_bytes() == pooled.aggregate_csv.read_bytes()
-        for fa, fb in zip(serial.run_files, pooled.run_files):
-            assert fa.read_bytes() == fb.read_bytes()
+        assert suite_files(serial) == suite_files(pooled)
 
     def test_dora_mock_runs_and_is_deterministic(self, tmp_path):
         script = write_bandit_mock(tmp_path / "script.json")
@@ -182,8 +185,8 @@ class TestBanditSuite:
         b = run_suite(
             self.run_config(tmp_path, "db", agent="dora_scheduled", backend=f"mock:{script}", runs=3)
         )
-        assert a.complete and b.complete
-        assert a.aggregate_csv.read_bytes() == b.aggregate_csv.read_bytes()
+        assert not a.failures and not b.failures
+        assert suite_files(a) == suite_files(b)
 
     def test_explore_steps_are_auditable(self, tmp_path):
         script = write_bandit_mock(tmp_path / "script.json")
@@ -192,7 +195,7 @@ class TestBanditSuite:
         )
         step_lines = [
             json.loads(line)
-            for line in artifacts.run_files[0].read_text().splitlines()
+            for line in run_files(artifacts)[0].read_text().splitlines()
             if json.loads(line)["kind"] == "step"
         ]
         explore = [line for line in step_lines if line.get("mode") == "EXPLORE"]
@@ -212,8 +215,7 @@ class TestBanditSuite:
         artifacts = run_suite(
             self.run_config(tmp_path, "plot", agent="dora_scheduled", backend=f"mock:{script}", runs=2)
         )
-        arm_csv = [p for p in artifacts.plot_csvs if p.name == "plot_arm_selection.csv"][0]
-        lines = arm_csv.read_text().splitlines()
+        lines = (artifacts.output_dir / "plot_arm_selection.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert header[0] == "t" and header[-1] == "invalid"
         for line in lines[1:]:
@@ -233,7 +235,7 @@ class TestBanditSuite:
             }
         )
         artifacts = run_suite(config)
-        header, row = artifacts.aggregate_csv.read_text().splitlines()
+        header, row = (artifacts.output_dir / "aggregate.csv").read_text().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["agent"] == "ucb"
         assert abs(float(cells["cum_regret"]) - 13.68) <= 1.5
@@ -267,7 +269,7 @@ class TestBanditSuite:
                 tmp_path, "partial", agent="dora_scheduled", backend=f"mock:{script}", runs=2
             )
         )
-        assert not artifacts.complete
+        assert artifacts.failures
         summary = json.loads((artifacts.output_dir / "summary.json").read_text())
         assert summary["incomplete"] is True
         assert summary["completed"] < 2
@@ -287,13 +289,13 @@ class TestWorkerDefault:
 
     def test_classical_suite_runs_serially(self, tmp_path, monkeypatch):
         self.forbid_pool(monkeypatch)
-        assert run_suite(self.config(tmp_path, "ucb")).complete
+        assert not run_suite(self.config(tmp_path, "ucb")).failures
 
     def test_mock_suite_runs_serially(self, tmp_path, monkeypatch):
         self.forbid_pool(monkeypatch)
         script = write_bandit_mock(tmp_path / "script.json")
         config = self.config(tmp_path, "dora", agent="dora_scheduled", backend=f"mock:{script}", runs=2)
-        assert run_suite(config).complete
+        assert not run_suite(config).failures
 
     def test_remote_suite_keeps_the_pool(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DORA_API_BASE", "http://127.0.0.1:9")
@@ -438,7 +440,7 @@ class TestBadMockScript:
             "output_dir": str(tmp_path / "out"),
         }
         artifacts = run_suite(ExperimentConfig.from_dict(config))
-        assert not artifacts.complete and artifacts.run_files == []
+        assert artifacts.failures and run_files(artifacts) == []
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         error = message.format(path=script)
         assert summary["failures"] == [{"run": i, "kind": kind, "error": error} for i in range(3)]
@@ -474,7 +476,7 @@ class TestKeymazeSuite:
             }
         )
         artifacts = run_suite(config)
-        assert artifacts.complete
+        assert not artifacts.failures
         assert artifacts.metrics[0]["steps"] == 6
         assert artifacts.metrics[0]["loops_encountered"] > 0  # stuck in the dead end
 
@@ -495,8 +497,8 @@ class TestKeymazeSuite:
             }
         )
         artifacts = run_suite(config)
-        assert artifacts.complete
-        text = artifacts.aggregate_csv.read_text().splitlines()
+        assert not artifacts.failures
+        text = (artifacts.output_dir / "aggregate.csv").read_text().splitlines()
         assert text[0].startswith("agent,runs,mean_score")
         metrics = artifacts.metrics[0]
         assert metrics["unique_states"] >= 1
@@ -532,8 +534,8 @@ class TestKeymazeSuite:
             }
         )
         artifacts = run_suite(config)
-        assert artifacts.complete
-        records = [json.loads(line) for line in artifacts.run_files[0].read_text().splitlines()]
+        assert not artifacts.failures
+        records = [json.loads(line) for line in run_files(artifacts)[0].read_text().splitlines()]
         steps = [r for r in records if r["kind"] == "step"]
         assert len(steps) == 3
         assert {r["fallback"] for r in steps} == {"backend_error"}
@@ -620,7 +622,7 @@ class TestReport:
         )
         written = report(runs, tmp_path / "tables")
         from_report = [p for p in written if p.name == "arm_selection_ucb.csv"][0]
-        from_suite = [p for p in suite.plot_csvs if p.name == "plot_arm_selection.csv"][0]
+        from_suite = suite.output_dir / "plot_arm_selection.csv"
         for path in (from_report, from_suite):
             header, *rows = path.read_text().splitlines()
             assert header == "t,blue,green,red,yellow,purple,arm5,arm6,invalid"

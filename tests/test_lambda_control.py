@@ -108,7 +108,7 @@ class TestParseLambdaReply:
         record, mock = self.explore("I choose lambda 3")
         assert record.lam == 20.0
         assert record.fallback_reason is FallbackReason.PARSE_FAILURE
-        assert mock.call_counts[PromptKind.LAMBDA_DECISION] == 2
+        assert mock.calls.count(PromptKind.LAMBDA_DECISION) == 2
 
     def test_whitespace_and_embedded_object(self):
         assert self.explore('  {"lambda": 2.25}\n')[0].lam == 2.25

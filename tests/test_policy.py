@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 
+from dora import policy
 from dora.policy import (
     BackendError,
     MockPolicy,
@@ -90,7 +92,7 @@ class TestDecideMode:
         mock = MockPolicy([ScriptEntry.mode("EXPLORE"), ScriptEntry.mode("GREEDY")])
         assert decide_mode(mock, CTX) is Mode.EXPLORE
         assert decide_mode(mock, CTX) is Mode.GREEDY
-        assert mock.call_counts[PromptKind.MODE_DECISION] == 2
+        assert mock.calls.count(PromptKind.MODE_DECISION) == 2
 
     def test_appends_instruction_to_context(self):
         seen = {}
@@ -367,7 +369,83 @@ def completion(content="go north", logprobs=None, usage=None) -> dict:
     }
 
 
+class FakeResponse:
+    def __init__(self, status_code: int, body: dict | None = None) -> None:
+        self.status_code = status_code
+        self.body = body
+        self.text = json.dumps(body)
+
+    def json(self) -> dict:
+        return self.body
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """Stub ``requests.post`` and the backoff sleep: returns the queue of
+    responses to serve, the list of calls made, and the list of sleeps."""
+    responses, calls, sleeps = [], [], []
+
+    def post(url, json, headers, timeout):
+        calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        return responses.pop(0)
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(policy.time, "sleep", sleeps.append)
+    return responses, calls, sleeps
+
+
 class TestRemotePolicy:
+    @pytest.mark.parametrize("api_key", ["", "sk-test"])
+    def test_request_body_headers_and_timeout(self, endpoint, api_key):
+        responses, calls, _ = endpoint
+        responses.append(FakeResponse(200, completion()))
+        backend = RemotePolicy(base_url="http://localhost:1/v1/", api_key=api_key, model="m")
+        backend.complete(PolicyRequest(CTX, 0.3))
+        (call,) = calls
+        assert call["url"] == "http://localhost:1/v1/chat/completions"
+        assert call["json"] == {
+            "model": "m",
+            "messages": [dict(m) for m in CTX],
+            "temperature": 0.3,
+            "max_tokens": 256,
+            "logprobs": True,
+        }
+        assert call["timeout"] == 60
+        headers = {"Content-Type": "application/json"}
+        if api_key:
+            headers["Authorization"] = "Bearer sk-test"
+        assert call["headers"] == headers
+
+    def test_rate_limit_is_retried(self, endpoint):
+        responses, calls, sleeps = endpoint
+        responses += [FakeResponse(429), FakeResponse(200, completion())]
+        backend = RemotePolicy(base_url="http://localhost:1", model="m")
+        assert backend.complete(PolicyRequest(CTX, 0.0)).text == "go north"
+        assert len(calls) == 2 and sleeps == [0.5]
+
+    def test_rate_limit_on_every_attempt_is_a_backend_error(self, endpoint):
+        responses, calls, sleeps = endpoint
+        responses += [FakeResponse(429)] * 3
+        with pytest.raises(BackendError, match="after 3 attempts"):
+            RemotePolicy(base_url="http://localhost:1", model="m").complete(PolicyRequest(CTX, 0.0))
+        assert len(calls) == 3 and sleeps == [0.5, 1.0]
+
+    def test_client_error_is_not_retried(self, endpoint):
+        responses, calls, sleeps = endpoint
+        responses.append(FakeResponse(400, {"error": "bad request"}))
+        with pytest.raises(BackendError, match="400"):
+            RemotePolicy(base_url="http://localhost:1", model="m").complete(PolicyRequest(CTX, 0.0))
+        assert len(calls) == 1 and sleeps == []
+
+    @pytest.mark.parametrize(
+        "usage,tokens", [({"completion_tokens": 0}, 0), ({"completion_tokens": 5}, 5), (None, 3)]
+    )
+    def test_reported_completion_tokens_are_the_count(self, usage, tokens):
+        backend = RemotePolicy(base_url="http://localhost:1", model="m")
+        backend._post = lambda payload: completion(content="go north now", usage=usage)
+        assert backend.complete(PolicyRequest(CTX, 0.0)).token_count == tokens
+        assert backend.tokens_used == tokens
+
     @pytest.mark.parametrize(
         "data,field",
         [

@@ -7,6 +7,10 @@ with ``==``. Lines are built from bullets, numbering, quote pairs (nested
 and Unicode) and whitespace of every kind ``str.isspace`` accepts; token
 streams cut the reply anywhere, so tokens span newlines and line
 boundaries, and repeated cuts give empty tokens.
+
+``arm_from_action`` is checked against its earlier form, which tried the
+strict answer envelope before the loose 'press COLOR button' search, on
+texts built from envelope and phrase fragments.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dora.bandit import arm_from_action
 from dora.policy import (
     MockPolicy,
     PolicyReply,
@@ -28,6 +33,11 @@ from dora.scoring import CandidateAction
 
 _REF_BULLET_RE = re.compile(r"^(?:[-*>•]+|\(?\d+[.):\]])\s*")
 _REF_QUOTE_PAIRS = {('"', '"'), ("'", "'"), ("`", "`"), ("“", "”"), ("‘", "’")}
+_REF_COLORS = ("blue", "green", "red", "yellow", "purple")
+_REF_ANSWER_RE = re.compile(
+    r"^\s*<Answer>I will press ((?i:blue|green|red|yellow|purple)) button</Answer>\s*$"
+)
+_REF_PRESS_RE = re.compile(r"\bpress\s+(blue|green|red|yellow|purple)\s+button\b", re.IGNORECASE)
 
 
 def ref_strip_decorations(line: str) -> tuple[str, int]:
@@ -183,3 +193,22 @@ def test_empty_tokens_inside_on_and_after_line_bounds():
     spans = [(0, 2), (3, 5)]
     assert _sliced_line_logprobs(reply, spans) == [[-0.1, -2.0, -0.2], [-0.3, -0.4]]
     assert ref_sliced_line_logprobs(reply, spans) == [[-0.1, -2.0, -0.2], [-0.3, -0.4]]
+
+
+def ref_arm_from_action(text: str) -> int | None:
+    match = _REF_ANSWER_RE.match(text) or _REF_PRESS_RE.search(text)
+    return None if match is None else _REF_COLORS.index(match.group(1).lower())
+
+
+ANSWER_PIECES = [
+    "<Answer>I will press red button</Answer>", "<Answer>", "</Answer>", "<answer>",
+    "I will ", "press", "Press", "PRESS", "pressed", " ", "  ", "\n", "\t", "\u00a0", "\x0b",
+    "button", "Button", "buttons", "blue", "Green", "RED", "yellow", "PuRpLe", "orange",
+    "x", "_", ".", "I",
+]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(ANSWER_PIECES), max_size=16).map("".join), st.text()))
+def test_arm_from_action_matches_strict_then_loose_reference(text):
+    assert arm_from_action(text) == ref_arm_from_action(text)

@@ -15,12 +15,11 @@ from dora.scoring import (
     CandidateAction,
     LambdaDistribution,
     ScoreParams,
+    _minmax,
+    _moments,
     lambda_probabilities,
-    mean_logprob,
-    minmax_normalize,
     sample_categorical,
     score_candidates,
-    variance_logprob,
 )
 
 EPS = 1e-8
@@ -83,48 +82,53 @@ class TestCandidateAction:
         assert cand(0.0).token_logprobs == (0.0,)
 
 
+def mean_of(*lps):
+    return _moments(cand(*lps).token_logprobs)[0]
+
+
+def variance_of(*lps):
+    return _moments(cand(*lps).token_logprobs)[1]
+
+
 class TestMeanLogprob:
     def test_constant_sequence(self):
-        assert mean_logprob(cand(-1.0, -1.0, -1.0)) == -1.0
+        assert mean_of(-1.0, -1.0, -1.0) == -1.0
 
     def test_singleton(self):
-        assert mean_logprob(cand(-0.5)) == -0.5
+        assert mean_of(-0.5) == -0.5
 
     def test_hand_sum(self):
         # frozen from oracle_mean([-0.1, -2.0, -0.9])
-        assert mean_logprob(cand(-0.1, -2.0, -0.9)) == pytest.approx(-1.0, abs=1e-12)
+        assert mean_of(-0.1, -2.0, -0.9) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestVarianceLogprob:
     def test_constant_sequence(self):
-        assert variance_logprob(cand(-1.0, -1.0)) == 0.0
+        assert variance_of(-1.0, -1.0) == 0.0
 
     def test_singleton_has_zero_spread(self):
-        assert variance_logprob(cand(-0.5)) == 0.0
+        assert variance_of(-0.5) == 0.0
 
     def test_population_variance(self):
         # frozen from oracle_var([-0.1, -2.0, -0.9]) = 0.6066666666666667
-        assert variance_logprob(cand(-0.1, -2.0, -0.9)) == pytest.approx(
-            0.6066666666666667, abs=1e-12
-        )
+        assert variance_of(-0.1, -2.0, -0.9) == pytest.approx(0.6066666666666667, abs=1e-12)
 
     def test_divides_by_n_not_n_minus_1(self):
-        values = [-0.2, -0.8]
-        assert variance_logprob(cand(*values)) == pytest.approx(0.09, abs=1e-12)  # not 0.18
+        assert variance_of(-0.2, -0.8) == pytest.approx(0.09, abs=1e-12)  # not 0.18
 
 
 class TestMinmaxNormalize:
     def test_all_equal_collapses_to_zero(self):
-        assert list(minmax_normalize([3.0, 3.0, 3.0], EPS)) == [0.0, 0.0, 0.0]
+        assert _minmax([3.0, 3.0, 3.0]) == [0.0, 0.0, 0.0]
 
     def test_endpoints(self):
-        out = minmax_normalize([0.0, 1.0], EPS)
+        out = _minmax([0.0, 1.0])
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.0 / (1.0 + 1e-8), abs=1e-15)
 
     def test_direct_evaluation(self):
         # frozen from oracle_minmax([-0.1, -1.25, -1.0])
-        out = minmax_normalize([-0.1, -1.25, -1.0], EPS)
+        out = _minmax([-0.1, -1.25, -1.0])
         expected = [0.9999999913043479, 0.0, 0.21739130245746696]
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -132,16 +136,13 @@ class TestMinmaxNormalize:
         rng = np.random.default_rng(7)
         for _ in range(100):
             values = rng.uniform(-5, 5, size=rng.integers(1, 12))
-            out = minmax_normalize(values, EPS)
-            assert np.all(out >= 0.0) and np.all(out < 1.0)
+            out = _minmax(values.tolist())
+            assert all(0.0 <= x < 1.0 for x in out)
 
     def test_rejects_empty_and_non_finite(self):
-        with pytest.raises(ValueError):
-            minmax_normalize([], EPS)
-        with pytest.raises(ValueError):
-            minmax_normalize([1.0, float("nan")], EPS)
-        with pytest.raises(ValueError):
-            minmax_normalize([1.0], 0.0)
+        for values in ([], [1.0, float("inf")], [float("-inf"), 1.0], [float("nan"), 1.0]):
+            with pytest.raises(ValueError):
+                _minmax(values)
 
 
 class TestScoreCandidates:

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dora.scoring import (
+    DEFAULT_EPSILON,
     CandidateAction,
     LambdaDistribution,
     ScoreParams,
+    _minmax,
     lambda_probabilities,
-    minmax_normalize,
     sample_categorical,
     score_candidates,
 )
@@ -37,8 +38,8 @@ def ref_scores(candidates, params):
         lps = c.token_logprobs
         mu = sum(lps) / len(lps)
         variances.append(sum((lp - mu) ** 2 for lp in lps) / len(lps))
-    norm_means = ref_minmax(means, params.epsilon)
-    norm_vars = ref_minmax(np.array(variances), params.epsilon)
+    norm_means = ref_minmax(means, DEFAULT_EPSILON)
+    norm_vars = ref_minmax(np.array(variances), DEFAULT_EPSILON)
     return params.alpha * norm_means - (1.0 - params.alpha) * norm_vars
 
 
@@ -101,7 +102,7 @@ def test_score_candidates_matches_numpy_formula(candidates, alpha):
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.one_of(TIES, st.floats(-1e3, 1e3)), min_size=1, max_size=20))
 def test_minmax_normalize_matches_numpy_formula(values):
-    assert bits(minmax_normalize(values, 1e-8)) == bits(ref_minmax(values, 1e-8))
+    assert bits(_minmax(values)) == bits(ref_minmax(values, 1e-8))
 
 
 @settings(max_examples=250, deadline=None)
