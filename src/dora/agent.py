@@ -1,11 +1,11 @@
 """Per-step explore/greedy orchestration and the one episode loop of every text agent.
 
-One step: build the context from history and the current observation,
-ask the policy whether to be greedy or to explore; when exploring, pick a
-lambda (scheduled or policy-sampled), generate candidates, drop the ones
-already tried under this observation, score the rest, and sample from the
-lambda-softmax; otherwise decode one greedy action. The chosen action is
-always recorded in the per-observation used-action set.
+One step fills in one :class:`StepRecord`: build the context, ask the
+policy whether to be greedy or to explore; when exploring, pick a lambda
+(scheduled or policy-sampled), generate candidates, drop the ones already
+tried under this observation, score the rest, and sample from the
+lambda-softmax. With nothing to sample from it decodes one greedy action.
+The chosen action joins the per-observation used-action set.
 
 :func:`drive_episode` runs any step policy against an environment;
 :func:`run_episode` drives the DORA step and :func:`temperature_step` is the
@@ -163,71 +163,49 @@ def dora_step(
 ) -> StepRecord:
     """Run one explore-or-greedy decision step and return its full record.
 
-    A backend failure produces a record with ``fallback_reason=BACKEND_ERROR``
-    and :data:`INVALID_ACTION`; an explore step whose candidates were
-    all used before falls back to the greedy action (``EMPTY_CANDIDATES``).
+    One record is filled in as each decision is taken; greedy mode and an
+    explore step with no fresh candidate (``[]``, ``EMPTY_CANDIDATES``) share
+    one greedy decode. A backend error leaves the registry untouched and the
+    record at :data:`INVALID_ACTION`, ``candidates=None`` and
+    ``BACKEND_ERROR``, with ``mode`` and ``lam`` as far as the step got.
     """
     if not observation:
         raise ValueError("observation must be non-empty")
     build = context_builder or build_text_context
     context = build(history, observation, params)
 
-    mode = Mode.GREEDY
-    lam: float | None = None
-    fallback: FallbackReason | None = None
+    record = StepRecord(step, observation, Mode.GREEDY, INVALID_ACTION)
     try:
-        mode = decide_mode(backend, context, params.tau_decision)
-        if mode is Mode.EXPLORE:
-            lam, parse_failed = _resolve_lambda(backend, context, lambda_source, params, step)
+        record.mode = decide_mode(backend, context, params.tau_decision)
+        if record.mode is Mode.EXPLORE:
+            record.lam, parse_failed = _resolve_lambda(
+                backend, context, lambda_source, params, step
+            )
             if parse_failed:
-                fallback = FallbackReason.PARSE_FAILURE
+                record.fallback_reason = FallbackReason.PARSE_FAILURE
             candidates = generate_candidates(
                 backend, context, params.n_candidates, params.tau_candidates
             )
             used = registry.used(observation)
             fresh = [c for c in candidates if c.text not in used]
+            record.candidates = []
             if fresh:
                 scores = score_candidates(fresh, ScoreParams(params.alpha))
-                dist = lambda_probabilities(scores, lam)
-                chosen = fresh[sample_categorical(dist, rng)]
-                record = StepRecord(
-                    step=step,
-                    observation=observation,
-                    mode=mode,
-                    chosen_action=chosen.text,
-                    lam=lam,
-                    candidates=[
-                        ScoredCandidate(c.text, s, p)
-                        for c, s, p in zip(fresh, dist.scores.tolist(), dist.probs.tolist())
-                    ],
-                    fallback_reason=fallback,
-                )
+                dist = lambda_probabilities(scores, record.lam)
+                record.chosen_action = fresh[sample_categorical(dist, rng)].text
+                record.candidates = [
+                    ScoredCandidate(c.text, s, p)
+                    for c, s, p in zip(fresh, dist.scores.tolist(), dist.probs.tolist())
+                ]
             else:
-                chosen = greedy_action(backend, context, params.greedy_kind)
-                record = StepRecord(
-                    step=step,
-                    observation=observation,
-                    mode=mode,
-                    chosen_action=chosen,
-                    lam=lam,
-                    candidates=[],
-                    fallback_reason=FallbackReason.EMPTY_CANDIDATES,
-                )
-        else:
-            chosen = greedy_action(backend, context, params.greedy_kind)
-            record = StepRecord(
-                step=step, observation=observation, mode=mode, chosen_action=chosen
-            )
+                record.fallback_reason = FallbackReason.EMPTY_CANDIDATES
+        if not record.candidates:
+            record.chosen_action = greedy_action(backend, context, params.greedy_kind)
     except BackendError:
-        return StepRecord(
-            step=step,
-            observation=observation,
-            mode=mode,
-            chosen_action=INVALID_ACTION,
-            lam=lam if mode is Mode.EXPLORE else None,
-            candidates=None,
-            fallback_reason=FallbackReason.BACKEND_ERROR,
-        )
+        # chosen_action is only set once the last request has succeeded.
+        record.candidates = None
+        record.fallback_reason = FallbackReason.BACKEND_ERROR
+        return record
 
     registry.add(observation, record.chosen_action)
     return record

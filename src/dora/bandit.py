@@ -80,7 +80,6 @@ class BanditRun:
 
     pulls: list[int]
     rewards: list[int]
-    seed: int
 
     def __post_init__(self) -> None:
         if len(self.pulls) != len(self.rewards):
@@ -312,7 +311,7 @@ def run_bandit(agent, instance: BanditInstance, seed: int) -> BanditRun:
         pulls.append(arm)
         rewards.append(reward)
         agent.update(arm, reward)
-    return BanditRun(pulls, rewards, seed)
+    return BanditRun(pulls, rewards)
 
 
 # --- text-environment adapter ----------------------------------------------------
@@ -373,7 +372,7 @@ class BanditEnv:
         )
 
     def to_run(self) -> BanditRun:
-        return BanditRun(list(self.pulls), list(self.rewards), self.seed)
+        return BanditRun(list(self.pulls), list(self.rewards))
 
 
 def make_mab_context_builder(instance: BanditInstance) -> Callable:

@@ -46,9 +46,15 @@ from .textenv import KeyMazeWorld, loop_stats
 SCHEMA_VERSION = 1
 
 SUITES = ("bandit", "keymaze")
-AGENTS = ("ucb", "ts", "greedy", "eps_greedy", "llm_temp", "dora_scheduled", "dora_auto")
-CLASSICAL_AGENTS = ("ucb", "ts", "greedy", "eps_greedy")
+CLASSICAL_POLICIES = {
+    "ucb": UcbPolicy,
+    "ts": ThompsonPolicy,
+    "greedy": GreedyPolicy,
+    "eps_greedy": EpsilonGreedyPolicy,
+}
+CLASSICAL_AGENTS = tuple(CLASSICAL_POLICIES)
 BACKEND_AGENTS = ("llm_temp", "dora_scheduled", "dora_auto")
+AGENTS = CLASSICAL_AGENTS + BACKEND_AGENTS
 
 
 class ConfigError(Exception):
@@ -184,9 +190,10 @@ class ExperimentConfig:
             )
         if self.suite == "keymaze" and self.agent in CLASSICAL_AGENTS:
             raise ConfigError(f"agent {self.agent!r} only runs on the bandit suite")
-        if self.suite == "bandit" and self.agent == "llm_temp" and self.num_arms > len(ARM_COLORS):
+        colors = len(ARM_COLORS)
+        if self.suite == "bandit" and self.agent in BACKEND_AGENTS and self.num_arms > colors:
             raise ConfigError(
-                f"agent 'llm_temp' names arms by color, so num_arms must be <= {len(ARM_COLORS)}"
+                f"agent {self.agent!r} names arms by color, so num_arms must be <= {colors}"
             )
         if self.agent in BACKEND_AGENTS and not self.backend:
             raise ConfigError(f"agent {self.agent!r} needs --backend mock:<script.json> or remote")
@@ -325,15 +332,6 @@ def _step_line_from_record(record, run_index: int, **fields) -> str:
 # --- per-run execution ---------------------------------------------------------
 
 
-def _classical_policy(agent: str):
-    return {
-        "ucb": UcbPolicy,
-        "ts": ThompsonPolicy,
-        "greedy": GreedyPolicy,
-        "eps_greedy": EpsilonGreedyPolicy,
-    }[agent]()
-
-
 # The step line of a bandit run whose steps carry no step record: the keys in
 # sorted order and only integers, ``null`` and booleans as values, none of
 # which JSON escapes, so ``%`` writes the bytes ``_dump_line`` would write for
@@ -360,7 +358,7 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
     episode: EpisodeLog | None = None
 
     if config.agent in CLASSICAL_AGENTS:
-        run = run_bandit(_classical_policy(config.agent), instance, seed)
+        run = run_bandit(CLASSICAL_POLICIES[config.agent](), instance, seed)
     else:
         backend = backend_factory()
         env = BanditEnv(instance, seed)

@@ -66,6 +66,29 @@ class FailingBackend(PolicyBackend):
         raise BackendError("synthetic transport failure")
 
 
+class FailsAtRequest(MockPolicy):
+    """A scripted mock whose ``fail_at``-th request (completion or rescore,
+    counted from 1) raises :class:`BackendError`."""
+
+    def __init__(self, entries, fail_at, rescores=None):
+        super().__init__(entries, rescores)
+        self.fail_at = fail_at
+        self.requests = 0
+
+    def _request(self):
+        self.requests += 1
+        if self.requests == self.fail_at:
+            raise BackendError(f"synthetic failure at request {self.fail_at}")
+
+    def complete(self, request):
+        self._request()
+        return super().complete(request)
+
+    def rescore(self, context, text):
+        self._request()
+        return super().rescore(context, text)
+
+
 class TestDoraStepGreedyBranch:
     def test_greedy_action_chosen(self):
         mock = MockPolicy([ScriptEntry.mode("GREEDY"), ScriptEntry.greedy("go north")])
@@ -281,6 +304,55 @@ class TestDoraStepErrors:
         assert record.fallback_reason is FallbackReason.BACKEND_ERROR
         assert record.chosen_action == INVALID_ACTION
         assert registry.used(OBS) == frozenset()
+
+    CANDIDATES = ["go north", "go south", "open door"]
+    SAMPLED = PolicySampledLambda((0.0, 40.0))
+
+    @pytest.mark.parametrize(
+        "entries, lambda_source, used, rescores, fail_at, mode, lam",
+        [
+            ([ScriptEntry.mode("EXPLORE")], FLAT_LAMBDA, [], None, 1, Mode.GREEDY, None),
+            (explore_script(CANDIDATES, lam=7.0), SAMPLED, [], None, 2, Mode.EXPLORE, None),
+            (explore_script(CANDIDATES, lam=7.0), SAMPLED, [], None, 3, Mode.EXPLORE, 7.0),
+            (
+                explore_script(CANDIDATES, lam=7.0),
+                SAMPLED,
+                [],
+                {c: [-0.5] for c in CANDIDATES},
+                5,
+                Mode.EXPLORE,
+                7.0,
+            ),
+            (explore_script(CANDIDATES, lam=7.0), SAMPLED, CANDIDATES, None, 4, Mode.EXPLORE, 7.0),
+            (
+                [ScriptEntry.mode("GREEDY"), ScriptEntry.greedy("go north")],
+                FLAT_LAMBDA,
+                [],
+                None,
+                2,
+                Mode.GREEDY,
+                None,
+            ),
+        ],
+        ids=["mode", "lambda", "candidates", "rescore", "greedy_after_used", "greedy_mode"],
+    )
+    def test_backend_error_at_each_request(
+        self, entries, lambda_source, used, rescores, fail_at, mode, lam
+    ):
+        registry = UsedActionRegistry()
+        for action in used:
+            registry.add(OBS, action)
+        mock = FailsAtRequest(entries, fail_at, rescores)
+        record = dora_step(
+            mock, lambda_source, registry, [], OBS, PARAMS, np.random.default_rng(0)
+        )
+        assert mock.requests == fail_at
+        assert record.mode is mode
+        assert record.lam == lam
+        assert record.candidates is None
+        assert record.fallback_reason is FallbackReason.BACKEND_ERROR
+        assert record.chosen_action == INVALID_ACTION
+        assert registry.used(OBS) == frozenset(used)
 
     def test_empty_observation_rejected(self):
         mock = MockPolicy([])

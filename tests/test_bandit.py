@@ -231,7 +231,7 @@ class TestRunBanditAndMetrics:
             else:
                 pulls.append(suboptimal)
                 rewards.append(0)
-        run = BanditRun(pulls, rewards, seed=0)
+        run = BanditRun(pulls, rewards)
         metrics = compute_metrics(run, instance)
         n_subopt = sum(1 for a in pulls if a not in (INVALID_PULL, instance.best_arm))
         expected = instance.gap * (n_subopt + run.invalid_count)
@@ -248,10 +248,10 @@ class TestRunBanditAndMetrics:
         # best arm pulled exactly once, at step index 100 (first of the second half)
         pulls = [other] * 200
         pulls[100] = instance.best_arm
-        assert compute_metrics(BanditRun(pulls, [0] * 200, 0), instance).suffix_failure is False
+        assert compute_metrics(BanditRun(pulls, [0] * 200), instance).suffix_failure is False
         pulls[100] = other
         pulls[99] = instance.best_arm  # last step of the first half only
-        assert compute_metrics(BanditRun(pulls, [0] * 200, 0), instance).suffix_failure is True
+        assert compute_metrics(BanditRun(pulls, [0] * 200), instance).suffix_failure is True
 
 
 class TestAnswerEnvelope:

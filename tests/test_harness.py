@@ -957,6 +957,8 @@ class TestCli:
             {"tau_lambda": -0.5},
             {"growth_k": 0},
             {"agent": "llm_temp", "num_arms": 6},
+            {"num_arms": 6},
+            {"agent": "dora_auto", "num_arms": 7},
         ],
         ids=lambda extra: ",".join(f"{k}={v!r}" for k, v in extra.items()),
     )

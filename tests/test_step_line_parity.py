@@ -44,7 +44,7 @@ def test_run_step_text_matches_encoded_dicts(data, num_arms, run_index):
     pulls = [arm for arm, _ in steps]
     rewards = [0 if arm == INVALID_PULL else reward for arm, reward in steps]
     expected = [reference_line(run_index, t, *step) for t, step in enumerate(zip(pulls, rewards))]
-    assert _bandit_step_text(BanditRun(pulls, rewards, 0), run_index) == expected
+    assert _bandit_step_text(BanditRun(pulls, rewards), run_index) == expected
 
 
 # The writer fills the template as below; this covers indexes far past a run's length.
