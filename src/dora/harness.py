@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -39,7 +40,7 @@ from .bandit import (
     make_mab_context_builder,
     run_bandit,
 )
-from .lambda_control import LambdaSchedule, PolicySampledLambda, ScheduledLambda
+from .lambda_control import MAX_GROWTH_K, LambdaSchedule, PolicySampledLambda, ScheduledLambda
 from .policy import BackendError, MockPolicy, PromptKind, RemotePolicy
 from .textenv import KeyMazeWorld, loop_stats
 
@@ -110,7 +111,7 @@ _FIELD_RULES = (
     ("tau_lambda", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
     ("lambda_min", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
     ("lambda_max", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
-    ("growth_k", _NUMBER, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    ("growth_k", _NUMBER, lambda v: 0 < v <= MAX_GROWTH_K, f"a number in (0, {MAX_GROWTH_K!r}]"),
     (
         "temperature",
         (*_NUMBER, str),
@@ -171,7 +172,7 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fp:
                 data = json.load(fp)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -339,6 +340,19 @@ def _step_line_from_record(record, run_index: int, **fields) -> str:
 _BANDIT_STEP_LINE = (
     f'{{"arm":%s,"kind":"step","reward":%d,"run":%d,"schema_version":{SCHEMA_VERSION},'
     f'"step":%d,"valid":%s}}'
+)
+
+
+# The lines _BANDIT_STEP_LINE can write: a line that fully matches is a JSON
+# object whose schema_version is SCHEMA_VERSION, so ``report`` skips it
+# undecoded. Integers are JSON's (no leading zero) and at most 18 digits long,
+# so every other line, one with a 5000-digit integer too, is decoded and checked.
+_JSON_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_BANDIT_STEP_RE = re.compile(
+    re.escape(_BANDIT_STEP_LINE)
+    .replace("%s", f"(?:null|{_JSON_INT})", 1)
+    .replace("%d", _JSON_INT)
+    .replace("%s", "(?:true|false)")
 )
 
 
@@ -622,15 +636,18 @@ def _write_bandit_plots(
 
 
 def _read_jsonl(path: Path) -> list[dict]:
+    """Every record of a run file but its classical step lines, which are checked
+    against their template instead of decoded."""
     records = []
+    is_step_line = _BANDIT_STEP_RE.fullmatch
     with open(path, "r", encoding="utf-8") as fp:
         for line_no, line in enumerate(fp, 1):
             line = line.strip()
-            if not line:
+            if not line or is_step_line(line):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ReportError(f"{path}:{line_no}: not a JSON object")

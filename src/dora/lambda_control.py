@@ -10,10 +10,13 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 DEFAULT_LAMBDA_BOUNDS = (0.0, 40.0)
 DEFAULT_GROWTH_K = 5.0
+# The largest k whose e^k, which lambda_exp computes, is a finite float.
+MAX_GROWTH_K = math.log(sys.float_info.max)
 
 _JSON_OBJECT_RE = re.compile(r"\{[^{}]*\}")
 
@@ -32,8 +35,8 @@ class LambdaSchedule:
             raise ValueError(
                 f"need 0 <= lambda_min <= lambda_max, got [{self.lambda_min!r}, {self.lambda_max!r}]"
             )
-        if not (self.k > 0.0):
-            raise ValueError(f"growth constant k must be > 0, got {self.k!r}")
+        if not (0.0 < self.k <= MAX_GROWTH_K):
+            raise ValueError(f"growth constant k must be in (0, {MAX_GROWTH_K!r}], got {self.k!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
 

@@ -445,12 +445,23 @@ ENV_API_KEY = "DORA_API_KEY"
 ENV_MODEL = "DORA_MODEL"
 
 # What every remote request asks for, and how a failed one is retried: the
-# wait before retry n (from 0) is BACKOFF_S * 2**n seconds.
+# wait before retry n (from 0) is BACKOFF_S * 2**n seconds, unless a 429 or
+# 503 reply names its own wait in Retry-After (see _retry_wait).
 MAX_TOKENS = 256
 REQUEST_LOGPROBS = True
 TIMEOUT_S = 60.0
 MAX_RETRIES = 2
 BACKOFF_S = 0.5
+
+
+def _retry_wait(retry_after: str | None, backoff: float) -> float:
+    """The wait a ``Retry-After`` header gives as a number of seconds, capped at
+    :data:`TIMEOUT_S`; ``backoff`` when it gives none (absent, a date, negative)."""
+    try:
+        seconds = float(retry_after)
+    except (TypeError, ValueError):
+        return backoff
+    return min(seconds, TIMEOUT_S) if seconds >= 0 else backoff
 
 
 class RemotePolicy(PolicyBackend):
@@ -461,8 +472,9 @@ class RemotePolicy(PolicyBackend):
     {model, messages, temperature, max_tokens, logprobs}; responses are read
     for message content and, when present, token-level log-probabilities.
     Transport failures, 5xx replies and 429 (rate limited) replies are
-    retried :data:`MAX_RETRIES` times with exponential backoff, then surfaced
-    as :class:`BackendError`.
+    retried :data:`MAX_RETRIES` times with exponential backoff, or after the
+    ``Retry-After`` seconds of a 429 or 503, then surfaced as
+    :class:`BackendError`.
     """
 
     def __init__(
@@ -490,8 +502,11 @@ class RemotePolicy(PolicyBackend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
+            wait = BACKOFF_S * (2**attempt)
             try:
                 resp = requests.post(url, json=payload, headers=headers, timeout=TIMEOUT_S)
+                if resp.status_code in (429, 503):
+                    wait = _retry_wait(resp.headers.get("Retry-After"), wait)
                 if resp.status_code >= 500 or resp.status_code == 429:
                     raise requests.RequestException(f"endpoint returned {resp.status_code}")
                 if resp.status_code != 200:
@@ -502,7 +517,7 @@ class RemotePolicy(PolicyBackend):
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
                 if attempt < MAX_RETRIES:
-                    time.sleep(BACKOFF_S * (2**attempt))
+                    time.sleep(wait)
         raise BackendError(f"transport failed after {MAX_RETRIES + 1} attempts: {last_error}")
 
     def complete(self, request: PolicyRequest) -> PolicyReply:

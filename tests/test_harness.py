@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dora import harness
 from dora.cli import main
@@ -21,9 +24,16 @@ from dora.harness import (
     run_suite,
 )
 from dora.bandit import INVALID_PULL, decaying_temperature
+from dora.lambda_control import MAX_GROWTH_K
 from dora.policy import PolicyRequest, PromptKind
 
 BANDIT_ACTIONS = "press blue button\npress green button\npress red button\npress yellow button\npress purple button"
+
+# A 5000-digit integer, past CPython's default limit on converting str to int.
+LONG_INT = "1" + "0" * 5000
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
+)
 
 
 def run_files(artifacts) -> list[Path]:
@@ -127,6 +137,13 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"suite": "chess"})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"runs": 0})
+
+    @needs_int_limit
+    def test_integer_too_long_to_convert_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"agent": "ucb", "runs": %s}' % LONG_INT)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            ExperimentConfig.from_file(cfg)
 
     def test_every_field_has_a_rule(self):
         assert [rule[0] for rule in harness._FIELD_RULES] == [
@@ -824,6 +841,93 @@ class TestReport:
         assert not out.exists()
 
 
+class TestStepLineTemplate:
+    """``report`` skips the lines ``_BANDIT_STEP_LINE`` writes by matching them
+    against its pattern; every other line is decoded and checked."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.from_regex(harness._BANDIT_STEP_RE, fullmatch=True))
+    def test_every_matching_line_is_an_object_of_this_schema(self, line):
+        record = json.loads(line)
+        assert type(record) is dict
+        assert type(record["schema_version"]) is int
+        assert record["schema_version"] == SCHEMA_VERSION
+
+    json_int = st.integers(-(10**18) + 1, 10**18 - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.none() | json_int, json_int, json_int, json_int, st.booleans())
+    def test_every_written_line_matches(self, arm, reward, run, step, valid):
+        line = harness._BANDIT_STEP_LINE % (
+            "null" if arm is None else arm, reward, run, step, "true" if valid else "false"
+        )
+        assert harness._BANDIT_STEP_RE.fullmatch(line)
+
+    STEP = harness._BANDIT_STEP_LINE % (1, 0, 0, 3, "true")
+
+    @pytest.mark.parametrize(
+        "line,version",
+        [
+            (STEP.replace('"schema_version":1', '"schema_version":1.0'), 1.0),
+            (STEP.replace('"schema_version":1', '"schema_version":true'), True),
+            (
+                '{"kind":"step","arm":1,"reward":0,"run":0,'
+                '"schema_version":"1","step":3,"valid":true}',
+                "1",
+            ),
+        ],
+        ids=["float", "boolean", "reordered-keys"],
+    )
+    def test_close_line_with_a_wrong_version_is_a_schema_error(self, tmp_path, line, version):
+        runs, path = self.insert_line(tmp_path, line)
+        with pytest.raises(SchemaVersionError) as info:
+            report(runs, tmp_path / "tables")
+        assert str(info.value) == (
+            f"{path}:5: step field schema_version must be the integer 1, got {version!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(STEP.replace('"reward":0', '"reward":01'), id="leading-zero"),
+            pytest.param(STEP + "x", id="trailing-bytes"),
+            pytest.param(STEP + STEP, id="two-lines-in-one"),
+            pytest.param(STEP.replace('"step":3', f'"step":{LONG_INT}'), id="5000-digits",
+                         marks=needs_int_limit),
+        ],
+    )
+    def test_close_line_that_is_not_json_is_a_report_error(self, tmp_path, line):
+        runs, path = self.insert_line(tmp_path, line)
+        with pytest.raises(ValueError) as decoding:
+            json.loads(line)
+        with pytest.raises(ReportError) as info:
+            report(runs, tmp_path / "tables")
+        assert type(info.value) is ReportError
+        assert str(info.value) == f"{path}:5: not valid JSON: {decoding.value}"
+
+    def test_reordered_step_line_is_decoded_and_read(self, tmp_path):
+        line = '{"kind":"step","arm":1,"reward":0,"run":0,"schema_version":1,"step":3,"valid":true}'
+        runs, _ = self.insert_line(tmp_path, line)
+        assert report(runs, tmp_path / "tables")
+
+    @staticmethod
+    def insert_line(tmp_path, line: str) -> tuple[Path, Path]:
+        """A greedy suite with ``line`` as line 5 of its first run file."""
+        runs = tmp_path / "runs"
+        run_suite(
+            ExperimentConfig.from_dict(
+                {"agent": "greedy", "runs": 2, "horizon": 20, "output_dir": str(runs)}
+            )
+        )
+        path = runs / "greedy_run0000.jsonl"
+        lines = path.read_text().splitlines()
+        assert harness._BANDIT_STEP_RE.fullmatch(lines[4])
+        assert not harness._BANDIT_STEP_RE.fullmatch(line)
+        lines.insert(4, line)
+        path.write_text("\n".join(lines) + "\n")
+        return runs, path
+
+
 class TestCli:
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         code = main(
@@ -956,6 +1060,7 @@ class TestCli:
             {"alpha": 2.0},
             {"tau_lambda": -0.5},
             {"growth_k": 0},
+            {"growth_k": 800},
             {"agent": "llm_temp", "num_arms": 6},
             {"num_arms": 6},
             {"agent": "dora_auto", "num_arms": 7},
@@ -967,6 +1072,10 @@ class TestCli:
         assert main(["bandit", "run", "--config", cfg]) == 1
         assert next(iter(extra)) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_growth_k_at_its_bound_runs(self, tmp_path):
+        cfg = self.write_dora_bandit_config(tmp_path, runs=2, growth_k=MAX_GROWTH_K)
+        assert main(["bandit", "run", "--config", cfg]) == 0
 
     def test_good_bandit_fields_run(self, tmp_path):
         cfg = self.write_dora_bandit_config(tmp_path, runs=2, workers=2, gap=0.5, alpha=1)

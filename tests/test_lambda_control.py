@@ -9,6 +9,7 @@ import pytest
 
 from dora.agent import DoraParams, FallbackReason, StepRecord, UsedActionRegistry, dora_step
 from dora.lambda_control import (
+    MAX_GROWTH_K,
     LambdaSchedule,
     PolicySampledLambda,
     ScheduledLambda,
@@ -64,6 +65,17 @@ class TestLambdaSchedule:
             LambdaSchedule(0.0, 40.0, k=5.0, horizon=0)
         with pytest.raises(ValueError):
             LambdaSchedule(-1.0, 40.0)
+
+    @pytest.mark.parametrize("k", [800.0, math.nextafter(MAX_GROWTH_K, math.inf), math.inf])
+    def test_growth_past_the_float_range_is_rejected(self, k):
+        with pytest.raises(ValueError, match="growth constant k"):
+            LambdaSchedule(0.0, 40.0, k=k)
+
+    def test_growth_at_the_bound_ramps_finitely(self):
+        steep = LambdaSchedule(0.0, 40.0, k=MAX_GROWTH_K, horizon=200)
+        ramp = [lambda_exp(steep, t) for t in range(201)]
+        assert all(math.isfinite(lam) for lam in ramp)
+        assert ramp[0] == 0.0 and ramp[-1] == 40.0
 
 
 class TestParseLambdaReply:

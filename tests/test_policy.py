@@ -370,10 +370,13 @@ def completion(content="go north", logprobs=None, usage=None) -> dict:
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, body: dict | None = None) -> None:
+    def __init__(
+        self, status_code: int, body: dict | None = None, headers: dict | None = None
+    ) -> None:
         self.status_code = status_code
         self.body = body
         self.text = json.dumps(body)
+        self.headers = headers or {}
 
     def json(self) -> dict:
         return self.body
@@ -429,6 +432,27 @@ class TestRemotePolicy:
         with pytest.raises(BackendError, match="after 3 attempts"):
             RemotePolicy(base_url="http://localhost:1", model="m").complete(PolicyRequest(CTX, 0.0))
         assert len(calls) == 3 and sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "status,retry_after,wait",
+        [
+            (429, "3", 3.0),
+            (503, "3", 3.0),
+            (429, "Wed, 21 Oct 2026 07:28:00 GMT", 0.5),
+            (429, "-1", 0.5),
+            (429, "9999", 60.0),
+            (500, "3", 0.5),
+        ],
+    )
+    def test_retry_after_seconds_set_the_wait(self, endpoint, status, retry_after, wait):
+        responses, calls, sleeps = endpoint
+        responses += [
+            FakeResponse(status, headers={"Retry-After": retry_after}),
+            FakeResponse(200, completion()),
+        ]
+        backend = RemotePolicy(base_url="http://localhost:1", model="m")
+        assert backend.complete(PolicyRequest(CTX, 0.0)).text == "go north"
+        assert len(calls) == 2 and sleeps == [wait]
 
     def test_client_error_is_not_retried(self, endpoint):
         responses, calls, sleeps = endpoint
