@@ -32,7 +32,7 @@ from .bandit import (
     ScheduledSoftmaxAgent,
     ThompsonPolicy,
     UcbPolicy,
-    answer_step,
+    answer_action,
     arm_from_action,
     compute_metrics,
     decaying_temperature,

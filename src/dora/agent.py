@@ -8,8 +8,8 @@ lambda-softmax. With nothing to sample from it decodes one greedy action.
 The chosen action joins the per-observation used-action set.
 
 :func:`drive_episode` runs any step policy against an environment;
-:func:`run_episode` drives the DORA step and :func:`temperature_step` is the
-plain temperature-scaled baseline over the same context.
+:func:`run_episode` drives the DORA step, and :func:`temperature_step` is
+the temperature baseline of both suites; both record backend errors as steps.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ class StepRecord:
     lam: float | None = None
     candidates: list[ScoredCandidate] | None = None
     fallback_reason: FallbackReason | None = None
+    error: str | None = None  # a BACKEND_ERROR step's message; no artifact line writes it
 
 
 class UsedActionRegistry:
@@ -201,10 +202,11 @@ def dora_step(
                 record.fallback_reason = FallbackReason.EMPTY_CANDIDATES
         if not record.candidates:
             record.chosen_action = greedy_action(backend, context, params.greedy_kind)
-    except BackendError:
+    except BackendError as exc:
         # chosen_action is only set once the last request has succeeded.
         record.candidates = None
         record.fallback_reason = FallbackReason.BACKEND_ERROR
+        record.error = str(exc)
         return record
 
     registry.add(observation, record.chosen_action)
@@ -243,8 +245,8 @@ def drive_episode(
 
     The environment contract is ``reset(seed) -> observation`` and
     ``step(action) -> TextEnvStep``. Environment errors abort the episode
-    with the log flagged as partial. ``backend`` is the step's backend, read
-    only for the episode's token count.
+    with the log flagged as partial. An episode whose every step fell back on
+    a backend error raises :class:`BackendError`. ``backend`` gives the token count.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
@@ -271,6 +273,8 @@ def drive_episode(
             log.terminal = True
             break
 
+    if all(record.fallback_reason is FallbackReason.BACKEND_ERROR for record in log.steps):
+        raise BackendError(f"backend failed on all {log.num_steps} steps: {log.steps[-1].error}")
     log.token_count = backend.tokens_used - tokens_before
     return log
 
@@ -306,15 +310,26 @@ def run_episode(
 
 
 def temperature_step(
-    backend: PolicyBackend, params: DoraParams, temperature: Callable[[int], float]
+    backend: PolicyBackend,
+    params: DoraParams,
+    temperature: Callable[[int], float],
+    context_builder: ContextBuilder | None = None,
+    parse_action: Callable[[str], str] = first_action,
 ) -> StepPolicy:
-    """Plain temperature-scaled decoding over DORA's context: one greedy-action
-    request at ``temperature(t)`` per step, acting on the first non-empty line
-    of the reply, or ``""`` when there is none. Backend errors propagate."""
+    """Temperature-scaled decoding over DORA's context: one ``params.greedy_kind``
+    request at ``temperature(t)`` per step, playing ``parse_action(reply.text)``;
+    a backend error is a ``BACKEND_ERROR`` step, as in :func:`dora_step`."""
 
     def step(history: Sequence[HistoryTriple], observation: str, t: int) -> StepRecord:
-        context = build_text_context(history, observation, params)
-        reply = backend.complete(PolicyRequest(context, temperature(t), PromptKind.GREEDY_ACTION))
-        return StepRecord(t, observation, Mode.GREEDY, first_action(reply.text))
+        context = (context_builder or build_text_context)(history, observation, params)
+        record = StepRecord(t, observation, Mode.GREEDY, INVALID_ACTION)
+        try:
+            reply = backend.complete(PolicyRequest(context, temperature(t), params.greedy_kind))
+        except BackendError as exc:
+            record.fallback_reason = FallbackReason.BACKEND_ERROR
+            record.error = str(exc)
+        else:
+            record.chosen_action = parse_action(reply.text)
+        return record
 
     return step

@@ -9,8 +9,8 @@ policy randomness draw from sub-streams of the run seed.
 Also here: the strict answer-envelope parsing for arm-pressing replies, a
 softmax-over-running-means agent driven by a lambda schedule, a
 text-environment adapter that exposes the bandit through observation
-summaries to the episode loop, and the language-model temperature
-baseline's step on that loop.
+summaries to the episode loop, and the context and reply parser with which
+``agent.temperature_step`` plays the language-model temperature baseline.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import prompts
-from .agent import DoraParams, HistoryTriple, StepPolicy, StepRecord
+from .agent import DoraParams, HistoryTriple
 from .lambda_control import LambdaSchedule, lambda_exp
-from .policy import BackendError, Mode, PolicyBackend, PolicyRequest, PromptKind
 from .scoring import lambda_probabilities, sample_categorical
 from .textenv import EnvError, TextEnvStep
 
@@ -317,13 +316,14 @@ def run_bandit(agent, instance: BanditInstance, seed: int) -> BanditRun:
 # --- text-environment adapter ----------------------------------------------------
 
 
-class BanditEnv:
+class BanditEnv(_EmpiricalMeans):
     """The bandit behind the text-env interface.
 
     Observations are the summarized-history prompt; actions are parsed with
     :func:`arm_from_action`. Unparseable actions are invalid steps: no
     reward, no history update, but the step still counts against the
     horizon. The reward stream matches :func:`run_bandit` for the same seed.
+    The valid pulls' counts and reward sums are its :class:`_EmpiricalMeans`.
     """
 
     def __init__(self, instance: BanditInstance, seed: int) -> None:
@@ -339,9 +339,7 @@ class BanditEnv:
         self.t = 0
         self.pulls: list[int] = []
         self.rewards: list[int] = []
-        self._total = 0
-        self.counts = [0] * self.instance.num_arms
-        self.sums = [0.0] * self.instance.num_arms
+        super().reset(self.instance.num_arms)
         return _summary(self.t, self.counts, self.sums)
 
     def step(self, action_text: str) -> TextEnvStep:
@@ -358,15 +356,13 @@ class BanditEnv:
         else:
             reward = 1 if self._rng.random() < self.instance.arm_means[arm] else 0
             self.pulls.append(arm)
-            self.counts[arm] += 1
-            self.sums[arm] += reward
+            self.update(arm, reward)
         self.rewards.append(reward)
-        self._total += reward
         self.t += 1
         return TextEnvStep(
             observation=_summary(self.t, self.counts, self.sums),
             reward=float(reward),
-            score=self._total / self.instance.horizon,
+            score=sum(self.sums) / self.instance.horizon,
             terminal=self.t >= self.instance.horizon,
             valid_action=arm is not None,
         )
@@ -389,23 +385,9 @@ def make_mab_context_builder(instance: BanditInstance) -> Callable:
     return build
 
 
-def answer_step(
-    backend: PolicyBackend, instance: BanditInstance, temperature: Callable[[int], float]
-) -> StepPolicy:
-    """The temperature baseline on the bandit: one answer request over the
-    summarized history at ``temperature(t)`` per step. A reply outside the
-    strict answer envelope, or a backend error, plays the empty action, which
-    :class:`BanditEnv` records as an invalid pull, as it does an arm past
-    ``num_arms``. Other errors propagate."""
-    build = make_mab_context_builder(instance)
-
-    def step(history: Sequence[HistoryTriple], observation: str, t: int) -> StepRecord:
-        context = build(history, observation, None)
-        try:
-            reply = backend.complete(PolicyRequest(context, temperature(t), PromptKind.MAB_ANSWER))
-        except BackendError:
-            return StepRecord(t, observation, Mode.GREEDY, "")
-        arm = parse_answer_envelope(reply.text)
-        return StepRecord(t, observation, Mode.GREEDY, "" if arm is None else press_action(arm))
-
-    return step
+def answer_action(text: str) -> str:
+    """The temperature baseline's action on the bandit: the arm of a reply in
+    the strict answer envelope, else ``""``, which :class:`BanditEnv` records
+    as an invalid pull, as it does an arm past ``num_arms``."""
+    arm = parse_answer_envelope(text)
+    return "" if arm is None else press_action(arm)

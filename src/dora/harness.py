@@ -33,7 +33,7 @@ from .bandit import (
     GreedyPolicy,
     ThompsonPolicy,
     UcbPolicy,
-    answer_step,
+    answer_action,
     compute_metrics,
     decaying_temperature,
     make_hard_instance,
@@ -172,7 +172,7 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fp:
                 data = json.load(fp)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -376,18 +376,21 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
     else:
         backend = backend_factory()
         env = BanditEnv(instance, seed)
+        params = config.dora_params(PromptKind.MAB_ANSWER)
+        context_builder = make_mab_context_builder(instance)
         if config.agent == "llm_temp":
-            step = answer_step(backend, instance, config.temperature_schedule(config.horizon))
+            tau = config.temperature_schedule(config.horizon)
+            step = temperature_step(backend, params, tau, context_builder, answer_action)
             drive_episode(backend, env, step, config.horizon, seed)
         else:
             episode = run_episode(
                 backend,
                 env,
                 config.lambda_source(config.horizon),
-                config.dora_params(PromptKind.MAB_ANSWER),
+                params,
                 max_steps=config.horizon,
                 rng=np.random.default_rng([seed, 2]),
-                context_builder=make_mab_context_builder(instance),
+                context_builder=context_builder,
                 seed=seed,
             )
         run = env.to_run()
@@ -647,7 +650,7 @@ def _read_jsonl(path: Path) -> list[dict]:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
                 raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ReportError(f"{path}:{line_no}: not a JSON object")

@@ -94,12 +94,12 @@ def extract_json_object(text: str) -> dict | None:
         obj = json.loads(stripped)
         if isinstance(obj, dict):
             return obj
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, RecursionError):  # not JSON, or nested too deep to decode
         pass
     for match in _JSON_OBJECT_RE.finditer(text):
         try:
             obj = json.loads(match.group(0))
-        except (json.JSONDecodeError, ValueError):
+        except (ValueError, RecursionError):
             continue
         if isinstance(obj, dict):
             return obj

@@ -514,7 +514,7 @@ class RemotePolicy(PolicyBackend):
                 return resp.json()
             except BackendError:
                 raise
-            except (requests.RequestException, ValueError) as exc:
+            except (requests.RequestException, ValueError, RecursionError) as exc:
                 last_error = exc
                 if attempt < MAX_RETRIES:
                     time.sleep(wait)

@@ -236,9 +236,6 @@ class KeyMazeWorld:
 
 
 def _join(names: Iterable[str]) -> str:
-    names = list(names)
-    if len(names) == 1:
-        return f"a {names[0]}"
     return ", ".join(f"a {n}" for n in names)
 
 

@@ -122,6 +122,19 @@ class TestDoraStepGreedyBranch:
         )
         assert record.chosen_action == "go north"
 
+    @pytest.mark.parametrize(
+        "reply", ["[" * 100_000, '{"mode": ' + "[" * 100_000 + "}"], ids=["bare", "in-object"]
+    )
+    def test_mode_reply_nested_too_deep_is_greedy(self, reply):
+        entries = [ScriptEntry(PromptKind.MODE_DECISION, reply), ScriptEntry.greedy("look")]
+        mock = MockPolicy(entries)
+        record = dora_step(
+            mock, FLAT_LAMBDA, UsedActionRegistry(), [], OBS, PARAMS, np.random.default_rng(0)
+        )
+        assert (record.mode, record.chosen_action, record.fallback_reason) == (
+            Mode.GREEDY, "look", None
+        )
+
 
 class TestDoraStepExploreBranch:
     CANDIDATES = ["go north", "go south", "go east", "go west"]
@@ -488,6 +501,11 @@ class TestRunEpisode:
         assert last > first
         assert len({a for a in pulls[:50]}) >= 4  # early diversity
 
+    def test_backend_error_on_every_step_fails_the_episode(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(BackendError, match="^backend failed on all 4 steps: synthetic"):
+            run_episode(FailingBackend(), KeyMazeWorld(), FLAT_LAMBDA, PARAMS, max_steps=4, rng=rng)
+
 
 class RecordingMock(MockPolicy):
     """A mock that keeps every request it answers."""
@@ -547,10 +565,25 @@ class TestTemperatureStep:
         assert log.steps[0].fallback_reason is None
         assert log.observations[1] == NOTHING_HAPPENS
 
-    def test_backend_error_propagates(self):
-        step = temperature_step(FailingBackend(), self.PARAMS, self.tau)
-        with pytest.raises(BackendError):
-            drive_episode(FailingBackend(), KeyMazeWorld(), step, 3)
+    def test_backend_error_is_an_invalid_step_and_the_episode_goes_on(self):
+        mock = FailsAtRequest([ScriptEntry.greedy(t) for t in ("go north", "look", "go south")], 2)
+        step = temperature_step(mock, self.PARAMS, self.tau)
+        log = drive_episode(mock, KeyMazeWorld(), step, 4, seed=3)
+        assert mock.requests == log.num_steps == 4
+        actions = [r.chosen_action for r in log.steps]
+        assert actions == ["go north", INVALID_ACTION, "look", "go south"]
+        assert [r.fallback_reason for r in log.steps] == [
+            None, FallbackReason.BACKEND_ERROR, None, None
+        ]
+        assert log.steps[1].error == "synthetic failure at request 2"
+        assert log.observations[2] == NOTHING_HAPPENS
+        assert not log.partial
+
+    def test_backend_error_on_every_step_fails_the_episode(self):
+        backend = FailingBackend()
+        step = temperature_step(backend, self.PARAMS, self.tau)
+        with pytest.raises(BackendError, match="^backend failed on all 3 steps: synthetic"):
+            drive_episode(backend, KeyMazeWorld(), step, 3)
 
 
 def make_params_for_bandit() -> DoraParams:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dora.agent import drive_episode
+from dora.agent import DoraParams, drive_episode, temperature_step
 from dora.bandit import (
     ARM_COLORS,
     INVALID_PULL,
@@ -16,11 +16,12 @@ from dora.bandit import (
     ScheduledSoftmaxAgent,
     ThompsonPolicy,
     UcbPolicy,
-    answer_step,
+    answer_action,
     arm_from_action,
     compute_metrics,
     decaying_temperature,
     make_hard_instance,
+    make_mab_context_builder,
     parse_answer_envelope,
     press_action,
     run_bandit,
@@ -310,7 +311,9 @@ def play_answers(backend, num_arms: int, horizon: int, seed: int, temperature=la
     """One bandit episode of the temperature baseline; returns (env, log)."""
     instance = make_hard_instance(num_arms, 0.2, horizon, seed=seed)
     env = BanditEnv(instance, seed)
-    step = answer_step(backend, instance, temperature)
+    params = DoraParams(greedy_kind=PromptKind.MAB_ANSWER)
+    build = make_mab_context_builder(instance)
+    step = temperature_step(backend, params, temperature, build, answer_action)
     return env, drive_episode(backend, env, step, horizon, seed)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -143,6 +144,12 @@ class TestExperimentConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"agent": "ucb", "runs": %s}' % LONG_INT)
         with pytest.raises(ConfigError, match="cannot read config"):
+            ExperimentConfig.from_file(cfg)
+
+    def test_nesting_too_deep_to_decode_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        with pytest.raises(ConfigError, match="cannot read config .*recursion"):
             ExperimentConfig.from_file(cfg)
 
     def test_every_field_has_a_rule(self):
@@ -521,10 +528,10 @@ class TestKeymazeSuite:
         assert metrics["unique_states"] >= 1
         assert metrics["loops_recovered"] <= metrics["loops_encountered"]
 
-    @pytest.mark.parametrize("bad", [float("-inf"), float("nan"), 0.5])
-    def test_bad_token_logprob_is_a_backend_error_step(self, tmp_path, bad):
-        # A candidate list whose token log-probabilities include a value that
-        # is not finite and <= 0: the step falls back, the run completes.
+    @staticmethod
+    def bad_logprob_config(tmp_path, bad, modes) -> dict:
+        """A KeyMaze DORA config of 3 steps whose mode replies cycle through
+        ``modes`` and whose candidate list has the token log-probability ``bad``."""
         lines = ["go north", "look"]
         tokens = [["go", -0.1], [" north", bad], ["\n", -0.01], ["look", -0.2]]
         script = tmp_path / "km.json"
@@ -533,29 +540,46 @@ class TestKeymazeSuite:
                 {
                     "loop": True,
                     "entries": [
-                        {"kind": "mode", "text": '{"mode":"EXPLORE"}'},
+                        *({"kind": "mode", "text": json.dumps({"mode": m})} for m in modes),
                         {"kind": "candidates", "text": "\n".join(lines), "token_logprobs": tokens},
                         {"kind": "greedy", "text": "look"},
                     ],
                 }
             )
         )
-        config = ExperimentConfig.from_dict(
-            {
-                "suite": "keymaze",
-                "agent": "dora_scheduled",
-                "runs": 1,
-                "max_steps": 3,
-                "backend": f"mock:{script}",
-                "output_dir": str(tmp_path / "km_out"),
-            }
-        )
-        artifacts = run_suite(config)
+        return {
+            "suite": "keymaze",
+            "agent": "dora_scheduled",
+            "runs": 1,
+            "max_steps": 3,
+            "backend": f"mock:{script}",
+            "output_dir": str(tmp_path / "km_out"),
+        }
+
+    @pytest.mark.parametrize("bad", [float("-inf"), float("nan"), 0.5])
+    def test_bad_token_logprob_is_a_backend_error_step(self, tmp_path, bad):
+        # A candidate list whose token log-probabilities include a value that
+        # is not finite and <= 0: the step falls back, and the run, whose
+        # GREEDY step succeeds, completes.
+        config = self.bad_logprob_config(tmp_path, bad, ["EXPLORE", "GREEDY"])
+        artifacts = run_suite(ExperimentConfig.from_dict(config))
         assert not artifacts.failures
         records = [json.loads(line) for line in run_files(artifacts)[0].read_text().splitlines()]
         steps = [r for r in records if r["kind"] == "step"]
-        assert len(steps) == 3
-        assert {r["fallback"] for r in steps} == {"backend_error"}
+        assert [r["fallback"] for r in steps] == ["backend_error", None, "backend_error"]
+        assert [r["chosen_action"] for r in steps] == ["", "look", ""]
+
+    @pytest.mark.parametrize("bad", [float("-inf"), float("nan"), 0.5])
+    def test_bad_token_logprob_on_every_step_is_a_backend_failure(self, tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.bad_logprob_config(tmp_path, bad, ["EXPLORE"])))
+        assert main(["keymaze", "run", "--config", str(cfg)]) == 2
+        out = tmp_path / "km_out"
+        assert not list(out.glob("*.jsonl"))
+        [failure] = json.loads((out / "summary.json").read_text())["failures"]
+        assert failure["kind"] == "backend"
+        assert failure["error"].startswith("backend failed on all 3 steps: ")
+        assert "bad log-probabilities" in failure["error"]
 
 
 class TestReport:
@@ -905,6 +929,12 @@ class TestStepLineTemplate:
         assert type(info.value) is ReportError
         assert str(info.value) == f"{path}:5: not valid JSON: {decoding.value}"
 
+    def test_line_nested_too_deep_is_a_report_error(self, tmp_path):
+        runs, path = self.insert_line(tmp_path, "[" * 100_000)
+        expected = f"^{re.escape(str(path))}:5: not valid JSON: .*recursion"
+        with pytest.raises(ReportError, match=expected):
+            report(runs, tmp_path / "tables")
+
     def test_reordered_step_line_is_decoded_and_read(self, tmp_path):
         line = '{"kind":"step","arm":1,"reward":0,"run":0,"schema_version":1,"step":3,"valid":true}'
         runs, _ = self.insert_line(tmp_path, line)
@@ -1105,3 +1135,27 @@ class TestCli:
         )
         code = main(["keymaze", "run", "--config", str(cfg), "--backend", "remote"])
         assert code == 2
+
+    @pytest.mark.parametrize("agent", ["llm_temp", "dora_scheduled", "dora_auto"])
+    @pytest.mark.parametrize("suite", ["bandit", "keymaze"])
+    def test_unreachable_endpoint_fails_every_backend_agent(
+        self, tmp_path, monkeypatch, suite, agent
+    ):
+        # Every step of the run falls back on a transport error, so the run is
+        # a backend failure: no run file, and the command exits 2.
+        monkeypatch.setenv("DORA_API_BASE", "http://127.0.0.1:9")
+        monkeypatch.setenv("DORA_MODEL", "test-model")
+        monkeypatch.setattr("dora.policy.time.sleep", lambda seconds: None)
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        length = {"bandit": "horizon", "keymaze": "max_steps"}[suite]
+        cfg.write_text(
+            json.dumps(
+                {"agent": agent, "runs": 1, length: 3, "workers": 1, "output_dir": str(out)}
+            )
+        )
+        assert main([suite, "run", "--config", str(cfg), "--backend", "remote"]) == 2
+        assert not list(out.glob("*.jsonl"))
+        [failure] = json.loads((out / "summary.json").read_text())["failures"]
+        assert failure["kind"] == "backend"
+        assert "backend failed on all 3 steps: transport failed" in failure["error"]

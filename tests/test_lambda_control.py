@@ -132,6 +132,14 @@ class TestParseLambdaReply:
             assert record.lam == 20.0, raw
             assert record.fallback_reason is FallbackReason.PARSE_FAILURE, raw
 
+    @pytest.mark.parametrize(
+        "raw", ["[" * 100_000, '{"lambda": ' + "[" * 100_000 + "}"], ids=["bare", "in-object"]
+    )
+    def test_reply_nested_too_deep_falls_back(self, raw):
+        record, mock = self.explore(raw)
+        assert (record.lam, record.fallback_reason) == (20.0, FallbackReason.PARSE_FAILURE)
+        assert mock.calls.count(PromptKind.LAMBDA_DECISION) == 2
+
     def test_never_out_of_bounds(self):
         junk = [
             '{"lambda": 1e12}',

@@ -454,6 +454,16 @@ class TestRemotePolicy:
         assert backend.complete(PolicyRequest(CTX, 0.0)).text == "go north"
         assert len(calls) == 2 and sleeps == [wait]
 
+    def test_body_nested_too_deep_is_a_backend_error(self, endpoint):
+        responses, calls, _ = endpoint
+        for _ in range(policy.MAX_RETRIES + 1):
+            response = requests.Response()
+            response.status_code, response._content = 200, b"[" * 100_000
+            responses.append(response)
+        with pytest.raises(BackendError, match="transport failed after 3 attempts: .*recursion"):
+            RemotePolicy(base_url="http://localhost:1", model="m").complete(PolicyRequest(CTX, 0.0))
+        assert len(calls) == 3
+
     def test_client_error_is_not_retried(self, endpoint):
         responses, calls, sleeps = endpoint
         responses.append(FakeResponse(400, {"error": "bad request"}))
