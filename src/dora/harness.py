@@ -22,7 +22,14 @@ from typing import Callable
 
 import numpy as np
 
-from .agent import DoraParams, EpisodeLog, drive_episode, run_episode, temperature_step
+from .agent import (
+    DoraParams,
+    EpisodeLog,
+    FallbackReason,
+    drive_episode,
+    run_episode,
+    temperature_step,
+)
 from .bandit import (
     ARM_COLORS,
     INVALID_PULL,
@@ -41,7 +48,7 @@ from .bandit import (
     run_bandit,
 )
 from .lambda_control import MAX_GROWTH_K, LambdaSchedule, PolicySampledLambda, ScheduledLambda
-from .policy import BackendError, MockPolicy, PromptKind, RemotePolicy
+from .policy import BackendError, MockPolicy, Mode, PromptKind, RemotePolicy
 from .textenv import KeyMazeWorld, loop_stats
 
 SCHEMA_VERSION = 1
@@ -638,30 +645,100 @@ def _write_bandit_plots(
 # --- reporting -------------------------------------------------------------------
 
 
+# The step lines _step_line_from_record writes, laid out as _dump_line lays
+# them out: keys sorted, no whitespace, ``lambda`` and ``candidates`` only when
+# the step has them. As with _BANDIT_STEP_RE, a line that fully matches is a
+# JSON object whose schema_version is SCHEMA_VERSION: every key is written
+# plainly and once, and numbers and strings are JSON's. The string pattern is
+# the unrolled form, which is faster per character than an alternation.
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+
+
+def _json_object_re(members: dict[str, str], optional: tuple[str, ...] = ()) -> str:
+    """The pattern of an object that _dump_line writes, from the value pattern
+    of each member; the members in ``optional`` may be absent, which the last
+    key in sorted order must not be."""
+    *head, last = sorted(members)
+    body = "".join(
+        f'(?:"{key}":{members[key]},)?' if key in optional else f'"{key}":{members[key]},'
+        for key in head
+    )
+    return rf'\{{{body}"{last}":{members[last]}\}}'
+
+
+def _one_of(values) -> str:
+    return "(?:" + "|".join(map(re.escape, values)) + ")"
+
+
+@functools.cache
+def _step_line_patterns():
+    """The patterns of the bandit DORA and the KeyMaze step line.
+
+    Compiled when ``report`` first reads a file, never at import: ``run_suite``
+    does not need them.
+    """
+    candidate = _json_object_re(
+        {"action": _JSON_STRING, "prob": _JSON_NUMBER, "score": _JSON_NUMBER}
+    )
+    shared = {
+        "candidates": rf"\[(?:{candidate}(?:,{candidate})*)?\]",
+        "chosen_action": _JSON_STRING,
+        "fallback": _one_of(["null", *(f'"{reason.value}"' for reason in FallbackReason)]),
+        "kind": '"step"',
+        "lambda": _JSON_NUMBER,
+        "mode": _one_of(f'"{mode.value}"' for mode in Mode),
+        "reward": _JSON_NUMBER,
+        "run": _JSON_INT,
+        "schema_version": str(SCHEMA_VERSION),
+        "step": _JSON_INT,
+    }
+    bandit = {**shared, "arm": f"(?:null|{_JSON_INT})", "valid": "(?:true|false)"}
+    keymaze = {**shared, "observation": _JSON_STRING}
+    return tuple(
+        re.compile(_json_object_re(members, ("candidates", "lambda")))
+        for members in (bandit, keymaze)
+    )
+
+
 def _read_jsonl(path: Path) -> list[dict]:
-    """Every record of a run file but its classical step lines, which are checked
-    against their template instead of decoded."""
+    """Every record of a run file but its step lines, which are checked against
+    the shapes their writers give them instead of decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            lines = fp.readlines()
+    except OSError as exc:
+        raise ReportError(f"cannot read run file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path}:{_undecodable_line(path)}: not UTF-8: {exc}") from exc
     records = []
-    is_step_line = _BANDIT_STEP_RE.fullmatch
-    with open(path, "r", encoding="utf-8") as fp:
-        for line_no, line in enumerate(fp, 1):
-            line = line.strip()
-            if not line or is_step_line(line):
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
-                raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ReportError(f"{path}:{line_no}: not a JSON object")
-            version = record.get("schema_version")
-            if type(version) is not int or version != SCHEMA_VERSION:
-                raise SchemaVersionError(
-                    f"{path}:{line_no}: {record.get('kind', 'record')} field schema_version "
-                    f"must be the integer {SCHEMA_VERSION}, got {version!r}"
-                )
-            records.append(record)
+    is_classical_step = _BANDIT_STEP_RE.fullmatch
+    is_bandit_step, is_keymaze_step = (pattern.fullmatch for pattern in _step_line_patterns())
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or is_classical_step(line) or is_bandit_step(line) or is_keymaze_step(line):
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
+            raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ReportError(f"{path}:{line_no}: not a JSON object")
+        version = record.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise SchemaVersionError(
+                f"{path}:{line_no}: {record.get('kind', 'record')} field schema_version "
+                f"must be the integer {SCHEMA_VERSION}, got {version!r}"
+            )
+        records.append(record)
     return records
+
+
+def _undecodable_line(path: Path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8, counted as
+    :func:`_read_jsonl` counts lines."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
+        return next(n for n, line in enumerate(fp, 1) if re.search("[\udc80-\udcff]", line))
 
 
 _TEXT = ((str,), None, "a string")

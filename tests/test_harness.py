@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -24,9 +26,13 @@ from dora.harness import (
     report,
     run_suite,
 )
+from dora.agent import FallbackReason, ScoredCandidate, StepRecord
 from dora.bandit import INVALID_PULL, decaying_temperature
 from dora.lambda_control import MAX_GROWTH_K
-from dora.policy import PolicyRequest, PromptKind
+from dora.policy import Mode, PolicyRequest, PromptKind
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+SRC = Path(harness.__file__).resolve().parents[1]
 
 BANDIT_ACTIONS = "press blue button\npress green button\npress red button\npress yellow button\npress purple button"
 
@@ -801,6 +807,19 @@ class TestReport:
         self.edit_records(runs / "greedy_run0000.jsonl", edit)
         assert main(["report", "--in", str(runs), "--out", str(tmp_path / "tables")]) == 0
 
+    def test_file_that_is_not_utf8_is_a_report_error(self, tmp_path):
+        runs = self.write_greedy_runs(tmp_path)
+        path = runs / "greedy_run0001.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b'\xff\xfe' + lines[1]
+        path.write_bytes(b"".join(lines))
+        self.assert_report_fails(runs, tmp_path, f"{path}:2: not UTF-8: ", "0xff")
+
+    def test_directory_named_like_a_run_file_is_a_report_error(self, tmp_path):
+        runs = self.write_greedy_runs(tmp_path)
+        (runs / "x.jsonl").mkdir()
+        self.assert_report_fails(runs, tmp_path, f"cannot read run file {runs / 'x.jsonl'}: ")
+
     def write_keymaze_run(self, tmp_path) -> Path:
         runs = tmp_path / "runs"
         script = write_keymaze_mock(tmp_path / "km.json")
@@ -956,6 +975,206 @@ class TestStepLineTemplate:
         lines.insert(4, line)
         path.write_text("\n".join(lines) + "\n")
         return runs, path
+
+
+def demo_config(name: str, runs: int, out: Path) -> ExperimentConfig:
+    """A demo config with its mock script found from any working directory."""
+    data = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    data["backend"] = "mock:" + str(CONFIGS / data["backend"].split("/")[-1])
+    data.update(runs=runs, output_dir=str(out))
+    return ExperimentConfig.from_dict(data)
+
+
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\n\u00e9\u2028\U0001f600'))
+JSON_FLOAT = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 1e16, 1.5e-7])
+    | st.integers(-1000, 1000).map(float)
+)
+JSON_INT = st.integers(-(10**18) + 1, 10**18 - 1)
+
+
+@st.composite
+def step_records(draw) -> StepRecord:
+    """A step record in one of the forms ``dora_step`` and ``temperature_step`` write."""
+    candidates = st.lists(
+        st.builds(ScoredCandidate, JSON_TEXT, JSON_FLOAT, JSON_FLOAT), min_size=1, max_size=6
+    )
+    lam = JSON_FLOAT | st.integers(0, 100)
+    form = draw(st.sampled_from(["explore", "greedy", *FallbackReason]))
+    if form == "explore":
+        mode, fields = Mode.EXPLORE, {"lam": draw(lam), "candidates": draw(candidates)}
+    elif form == "greedy":
+        mode, fields = Mode.GREEDY, {}
+    elif form is FallbackReason.EMPTY_CANDIDATES:
+        mode, fields = Mode.EXPLORE, {"lam": draw(lam), "candidates": []}
+    elif form is FallbackReason.PARSE_FAILURE:
+        mode = draw(st.sampled_from(Mode))
+        fields = {"lam": draw(st.none() | lam), "candidates": draw(st.none() | candidates)}
+    else:  # BACKEND_ERROR: mode and lambda as far as the step got
+        mode, fields = draw(st.sampled_from(Mode)), {"lam": draw(st.none() | lam)}
+    return StepRecord(
+        draw(JSON_INT),
+        draw(JSON_TEXT),
+        mode,
+        draw(JSON_TEXT),
+        fallback_reason=form if isinstance(form, FallbackReason) else None,
+        **fields,
+    )
+
+
+class TestStepLineShapes:
+    """``report`` skips the bandit DORA and KeyMaze step lines that
+    ``_step_line_from_record`` writes by matching them against their shapes;
+    every other line is decoded and checked as before."""
+
+    BANDIT_RE, KEYMAZE_RE = harness._step_line_patterns()
+
+    @pytest.mark.parametrize("pattern", [BANDIT_RE, KEYMAZE_RE], ids=["bandit", "keymaze"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_matching_line_is_an_object_of_this_schema(self, pattern, data):
+        line = data.draw(st.from_regex(pattern, fullmatch=True))
+        record = json.loads(line)
+        assert type(record) is dict
+        assert type(record["schema_version"]) is int
+        assert record["schema_version"] == SCHEMA_VERSION
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_records(), JSON_INT, st.none() | JSON_INT, JSON_INT, st.booleans())
+    def test_every_written_bandit_line_matches(self, record, run, arm, reward, valid):
+        line = harness._step_line_from_record(record, run, arm=arm, reward=reward, valid=valid)
+        assert self.BANDIT_RE.fullmatch(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_records(), JSON_INT, JSON_FLOAT)
+    def test_every_written_keymaze_line_matches(self, record, run, reward):
+        line = harness._step_line_from_record(
+            record, run, observation=record.observation, reward=reward
+        )
+        assert self.KEYMAZE_RE.fullmatch(line)
+
+    RECORD = StepRecord(
+        3,
+        "You are in the hall.",
+        Mode.EXPLORE,
+        "go north",
+        lam=2.5,
+        candidates=[ScoredCandidate("go north", 0.25, 0.75), ScoredCandidate("look", -1.0, 0.25)],
+    )
+    BANDIT_STEP = harness._step_line_from_record(RECORD, 0, arm=2, reward=1, valid=True)
+    KEYMAZE_STEP = harness._step_line_from_record(
+        RECORD, 0, observation=RECORD.observation, reward=0.0
+    )
+
+    @pytest.mark.parametrize("step", [BANDIT_STEP, KEYMAZE_STEP], ids=["bandit", "keymaze"])
+    @pytest.mark.parametrize(
+        "edit,outcome",
+        [
+            pytest.param(lambda s: s.replace('"mode":', '"mode": '), "read", id="space-after-colon"),
+            pytest.param(
+                lambda s: '{"kind":"step",' + s[1:].replace(',"kind":"step"', ""), "read",
+                id="reordered-keys",
+            ),
+            pytest.param(
+                lambda s: s.replace('"schema_version":1', '"schema_version":1.0'), 1.0,
+                id="version-float",
+            ),
+            pytest.param(
+                lambda s: s.replace('"schema_version":1', '"schema_version":true'), True,
+                id="version-true",
+            ),
+            pytest.param(
+                lambda s: s.replace('"step":', '"schema_version":2,"step":'), 2,
+                id="second-version",
+            ),
+            pytest.param(
+                lambda s: s.replace('"chosen_action"', '"\\u0063hosen_action"'), "read",
+                id="escaped-key",
+            ),
+            pytest.param(
+                lambda s: s.replace('"go north"', '"go\x01north"', 1), "json", id="control-character"
+            ),
+            pytest.param(
+                lambda s: s.replace('"go north"', '"go\\qnorth"', 1), "json", id="bad-escape"
+            ),
+            pytest.param(lambda s: s[:-1] + ",}", "json", id="trailing-comma"),
+            pytest.param(lambda s: s[:-9], "json", id="truncated"),
+            pytest.param(
+                lambda s: re.sub('"reward":[^,]*', '"reward":01', s), "json", id="leading-zero"
+            ),
+            pytest.param(
+                lambda s: re.sub('"reward":[^,]*', f'"reward":{LONG_INT}', s), "json",
+                id="5000-digit-reward", marks=needs_int_limit,
+            ),
+            pytest.param(
+                lambda s: s.replace('"step":3', f'"step":{LONG_INT}'), "json",
+                id="5000-digit-step", marks=needs_int_limit,
+            ),
+        ],
+    )
+    def test_near_miss_is_decoded_and_checked(self, tmp_path, monkeypatch, step, edit, outcome):
+        line = edit(step)
+        assert not self.BANDIT_RE.fullmatch(line) and not self.KEYMAZE_RE.fullmatch(line)
+        runs, path = TestStepLineTemplate.insert_line(tmp_path, line)
+        if outcome == "read":
+            decoded = self.record_loads(monkeypatch)
+            assert report(runs, tmp_path / "tables")
+            assert line in decoded
+        elif outcome == "json":
+            with pytest.raises(ValueError) as decoding:
+                json.loads(line)
+            with pytest.raises(ReportError) as info:
+                report(runs, tmp_path / "tables")
+            assert type(info.value) is ReportError
+            assert str(info.value) == f"{path}:5: not valid JSON: {decoding.value}"
+        else:
+            with pytest.raises(SchemaVersionError) as info:
+                report(runs, tmp_path / "tables")
+            assert str(info.value) == (
+                f"{path}:5: step field schema_version must be the integer 1, got {outcome!r}"
+            )
+
+    def test_report_decodes_only_config_and_metrics_lines(self, tmp_path, monkeypatch):
+        runs = tmp_path / "runs"
+        for name in ("bandit_dora_mock.json", "keymaze_dora_mock.json"):
+            run_suite(demo_config(name, 2, runs / name))
+        files = sorted(runs.glob("**/*.jsonl"))
+        decoded = self.record_loads(monkeypatch)
+        report(runs, tmp_path / "tables")
+        monkeypatch.undo()
+        assert len(files) == 4
+        assert len(decoded) == 2 * len(files)
+        assert {json.loads(s)["kind"] for s in decoded} == {"config", "metrics"}
+
+    @staticmethod
+    def record_loads(monkeypatch) -> list[str]:
+        """The text of every ``json.loads`` call from here on, in call order."""
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        return decoded
+
+    def test_patterns_are_compiled_by_report_not_by_run_suite(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from dora import harness\n"
+            "config = harness.ExperimentConfig.from_dict({'suite': 'bandit', 'agent': 'dora_scheduled',"
+            " 'runs': 2, 'horizon': 20, 'n_candidates': 5, 'backend': 'mock:' + sys.argv[1],"
+            " 'output_dir': sys.argv[2]})\n"
+            "harness.run_suite(config)\n"
+            "print(harness._step_line_patterns.cache_info().currsize)\n"
+            "harness.report(sys.argv[2], sys.argv[3])\n"
+            "print(harness._step_line_patterns.cache_info().currsize)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, write_bandit_mock(tmp_path / "mock.json"),
+             str(tmp_path / "runs"), str(tmp_path / "tables")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1"]
 
 
 class TestCli:
