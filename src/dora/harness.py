@@ -597,27 +597,28 @@ def _keymaze_aggregate_rows(agent: str, metrics: list[dict]) -> list:
 
 
 def _plot_series(metrics: list[dict], num_arms: int, horizon: int):
-    """Mean cumulative selections per arm, invalid count, and best-arm share over t.
+    """The steps t = 1..horizon, and the mean cumulative selections per arm,
+    invalid count and best-arm share over t. Every run holds ``horizon`` pulls.
 
-    Runs are summed one after another, in run order, so the float sums do not
-    depend on how each run's series is computed.
+    Selections and invalid pulls are counted over all runs at once: the counts
+    are integers, so their sums are exact in any order. The best-arm shares
+    are fractions, so they are summed one run after another, in run order.
     """
     n = len(metrics)
-    cum = np.zeros((horizon, num_arms))
-    invalid = np.zeros(horizon)
+    t = np.arange(1, horizon + 1)
+    pulls = np.array(
+        [[INVALID_PULL if arm is None else arm for arm in m["pulls"]] for m in metrics],
+        dtype=np.int64,
+    )
+    valid = pulls != INVALID_PULL
+    steps = np.nonzero(valid)[1]
+    picks = np.bincount(steps * num_arms + pulls[valid], minlength=horizon * num_arms)
+    cum = np.cumsum(picks.reshape(horizon, num_arms), axis=0)
+    invalid = np.cumsum(np.count_nonzero(~valid, axis=0))
     best_frac = np.zeros(horizon)
-    for m in metrics:
-        pulls = np.array(
-            [INVALID_PULL if arm is None else arm for arm in m["pulls"]], dtype=np.int64
-        )
-        steps = len(pulls)
-        valid = pulls != INVALID_PULL
-        picks = np.zeros((steps, num_arms))
-        picks[np.flatnonzero(valid), pulls[valid]] = 1.0
-        cum[:steps] += np.cumsum(picks, axis=0)
-        invalid[:steps] += np.cumsum(~valid)
-        best_frac[:steps] += np.cumsum(pulls == m["best_arm"]) / np.arange(1, steps + 1)
-    return cum / n, invalid / n, best_frac / n
+    for run_pulls, m in zip(pulls, metrics):
+        best_frac += np.cumsum(run_pulls == m["best_arm"]) / t
+    return t, cum / n, invalid / n, best_frac / n
 
 
 def _write_bandit_plots(
@@ -628,18 +629,19 @@ def _write_bandit_plots(
     Arms past the named colors are headed ``arm5``, ``arm6``, ...
     """
     colors = list(ARM_COLORS[:num_arms]) + [f"arm{i}" for i in range(len(ARM_COLORS), num_arms)]
-    cum, invalid, best_frac = _plot_series(metrics, num_arms, horizon)
-    _write_csv(
-        arm_path,
-        ["t", *colors, "invalid"],
-        [[t + 1, *cum[t].tolist(), invalid[t]] for t in range(horizon)],
-    )
-    _write_csv(
-        frac_path,
-        ["t", "best_arm_frac"],
-        [[t + 1, best_frac[t]] for t in range(horizon)],
-    )
+    t, cum, invalid, best_frac = _plot_series(metrics, num_arms, horizon)
+    _write_series(arm_path, ["t", *colors, "invalid"], [t, cum, invalid])
+    _write_series(frac_path, ["t", "best_arm_frac"], [t, best_frac])
     return [arm_path, frac_path]
+
+
+def _write_series(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """A plot CSV: the integer step ``t`` first, then float cells written as
+    :func:`fmt` writes them (``%.6g``), one row per step."""
+    rows = np.column_stack(columns).tolist()
+    row = "%d" + ",%.6g" * (len(rows[0]) - 1)
+    lines = [",".join(header), *(row % tuple(cells) for cells in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # --- reporting -------------------------------------------------------------------
@@ -701,37 +703,89 @@ def _step_line_patterns():
     )
 
 
+# The most step lines one run-pattern match takes: classical, then bandit DORA
+# and KeyMaze. The regex engine keeps the backtracking state of every line of a
+# match until the match ends: about 0.7 KB per classical line, and 6-10 KB per
+# DORA or KeyMaze line with 5-8 candidates. These bounds keep it under 100 KB,
+# which malloc serves from its heap. At 64 DORA lines (about 600 KB, past
+# glibc's default 128 KiB mmap threshold) most processes took about 5900 page
+# faults per bandit-dora report() call, and up to twice the time.
+_STEP_RUN_LINES = (64, 8, 8)
+
+
+@functools.cache
+def _step_run_patterns():
+    """The patterns of a run of step lines of one shape (classical, bandit
+    DORA, KeyMaze), each line written as is and ended by a newline, at most
+    ``_STEP_RUN_LINES`` lines.
+
+    Compiled when ``report`` first reads a file, as :func:`_step_line_patterns` is.
+    No step shape matches a newline, so a run ends on a line boundary.
+    """
+    shapes = (_BANDIT_STEP_RE, *_step_line_patterns())
+    return tuple(
+        re.compile(rf"(?:{shape.pattern}\n){{1,{lines}}}")
+        for shape, lines in zip(shapes, _STEP_RUN_LINES)
+    )
+
+
 def _read_jsonl(path: Path) -> list[dict]:
     """Every record of a run file but its step lines, which are checked against
-    the shapes their writers give them instead of decoded."""
+    the shapes their writers give them instead of decoded.
+
+    The file is read whole, with universal newlines, so its lines are those of
+    ``readlines()``. At each line start, each step-run pattern is tried in
+    turn, and a match skips up to ``_STEP_RUN_LINES`` step lines of its shape
+    at once, with the line number advanced by the newlines it took. Any other line
+    is stripped of surrounding whitespace, skipped if it is blank or fully
+    matches a step shape, and otherwise decoded and checked.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            lines = fp.readlines()
+            text = fp.read()
     except OSError as exc:
         raise ReportError(f"cannot read run file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ReportError(f"{path}:{_undecodable_line(path)}: not UTF-8: {exc}") from exc
     records = []
+    step_runs = [pattern.match for pattern in _step_run_patterns()]
     is_classical_step = _BANDIT_STEP_RE.fullmatch
     is_bandit_step, is_keymaze_step = (pattern.fullmatch for pattern in _step_line_patterns())
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or is_classical_step(line) or is_bandit_step(line) or is_keymaze_step(line):
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
-            raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ReportError(f"{path}:{line_no}: not a JSON object")
-        version = record.get("schema_version")
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"{path}:{line_no}: {record.get('kind', 'record')} field schema_version "
-                f"must be the integer {SCHEMA_VERSION}, got {version!r}"
-            )
-        records.append(record)
+    pos, line_no, size = 0, 0, len(text)
+    while pos < size:
+        for step_run in step_runs:
+            run = step_run(text, pos)
+            if run:
+                line_no += text.count("\n", pos, run.end())
+                pos = run.end()
+                break
+        else:
+            stop = text.find("\n", pos) + 1 or size  # past the newline, or the end
+            line = text[pos:stop].strip()
+            pos = stop
+            line_no += 1
+            if line and not (
+                is_classical_step(line) or is_bandit_step(line) or is_keymaze_step(line)
+            ):
+                records.append(_decode_line(path, line_no, line))
     return records
+
+
+def _decode_line(path: Path, line_no: int, line: str) -> dict:
+    """The record of a line that is no step line: a JSON object of this schema."""
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
+        raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ReportError(f"{path}:{line_no}: not a JSON object")
+    version = record.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaVersionError(
+            f"{path}:{line_no}: {record.get('kind', 'record')} field schema_version "
+            f"must be the integer {SCHEMA_VERSION}, got {version!r}"
+        )
+    return record
 
 
 def _undecodable_line(path: Path) -> int:
@@ -778,13 +832,12 @@ def _check_fields(path: Path, kind: str, record: dict, rules) -> None:
 
 
 def _pulls_fit(pulls: list, num_arms: int, horizon: int) -> bool:
-    """Whether ``pulls`` holds at most ``horizon`` arms, each ``null``,
+    """Whether ``pulls`` holds exactly ``horizon`` arms, each ``null``,
     ``INVALID_PULL`` or an integer in ``[0, num_arms)``."""
-    return (
-        len(pulls) <= horizon
-        and set(map(type, pulls)) <= {int, _NONE}
-        and set(pulls) - {None, INVALID_PULL} <= set(range(num_arms))
-    )
+    if len(pulls) != horizon or not set(map(type, pulls)) <= {int, _NONE}:
+        return False
+    arms = set(pulls) - {None, INVALID_PULL}
+    return not arms or (min(arms) >= 0 and max(arms) < num_arms)
 
 
 def report(input_dir, output_dir) -> list[Path]:
@@ -822,7 +875,7 @@ def report(input_dir, output_dir) -> list[Path]:
             shape = (header["num_arms"], header["horizon"])
             if not _pulls_fit(metrics["pulls"], *shape):
                 raise ReportError(
-                    f"{path}: metrics field pulls must hold at most {shape[1]} arms, each "
+                    f"{path}: metrics field pulls must hold exactly {shape[1]} arms, each "
                     f"null, {INVALID_PULL} or an integer in [0, {shape[0]})"
                 )
             first_shape, first_path = bandit_shape.setdefault(agent, (shape, path))

@@ -320,10 +320,6 @@ class ScriptEntry:
         return cls(PromptKind.GREEDY_ACTION, text)
 
     @classmethod
-    def lambda_value(cls, value: float) -> "ScriptEntry":
-        return cls(PromptKind.LAMBDA_DECISION, json.dumps({"lambda": value}, separators=(",", ":")))
-
-    @classmethod
     def answer(cls, color: str) -> "ScriptEntry":
         return cls(PromptKind.MAB_ANSWER, f"<Answer>I will press {color} button</Answer>")
 

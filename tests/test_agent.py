@@ -41,7 +41,8 @@ PARAMS = DoraParams(system_prompt="play the game")
 def explore_script(candidates, greedy="fallback move", lam=None):
     entries = [ScriptEntry.mode("EXPLORE")]
     if lam is not None:
-        entries.append(ScriptEntry.lambda_value(lam))
+        reply = json.dumps({"lambda": lam}, separators=(",", ":"))
+        entries.append(ScriptEntry(PromptKind.LAMBDA_DECISION, reply))
     entries.append(ScriptEntry.candidates(candidates))
     entries.append(ScriptEntry.greedy(greedy))
     return entries

@@ -10,8 +10,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dora import harness
@@ -172,6 +173,62 @@ class TestCsvFormatting:
         assert fmt(True) == "1"
         assert fmt("ucb") == "ucb"
         assert fmt(200) == "200"
+
+
+def plot_series_by_run(metrics: list[dict], num_arms: int, horizon: int):
+    """The per-run loop ``_plot_series`` replaced, every series summed run by run."""
+    n = len(metrics)
+    cum = np.zeros((horizon, num_arms))
+    invalid = np.zeros(horizon)
+    best_frac = np.zeros(horizon)
+    for m in metrics:
+        pulls = np.array(
+            [INVALID_PULL if arm is None else arm for arm in m["pulls"]], dtype=np.int64
+        )
+        steps = len(pulls)
+        valid = pulls != INVALID_PULL
+        picks = np.zeros((steps, num_arms))
+        picks[np.flatnonzero(valid), pulls[valid]] = 1.0
+        cum[:steps] += np.cumsum(picks, axis=0)
+        invalid[:steps] += np.cumsum(~valid)
+        best_frac[:steps] += np.cumsum(pulls == m["best_arm"]) / np.arange(1, steps + 1)
+    return cum / n, invalid / n, best_frac / n
+
+
+@st.composite
+def bandit_metrics(draw):
+    """(metrics, num_arms, horizon): runs of ``horizon`` pulls each, any mix of
+    arms, ``null`` and ``INVALID_PULL``, and a best arm that may be none of them."""
+    num_arms, horizon = draw(st.integers(2, 8)), draw(st.integers(1, 40))
+    pull = st.sampled_from([None, INVALID_PULL, *range(num_arms)])
+    run = st.fixed_dictionaries({
+        "pulls": st.lists(pull, min_size=horizon, max_size=horizon),
+        "best_arm": st.integers(INVALID_PULL, num_arms),
+    })
+    return draw(st.lists(run, min_size=1, max_size=12)), num_arms, horizon
+
+
+class TestPlotCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(bandit_metrics())
+    def test_series_equal_the_per_run_sums(self, drawn):
+        t, *series = harness._plot_series(*drawn)
+        assert t.tolist() == list(range(1, drawn[2] + 1))
+        for got, expected in zip(series, plot_series_by_run(*drawn)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=20))
+    def test_rows_are_written_as_fmt_writes_cells(self, tmp_path, rows):
+        header = ["t", "a", "b", "c"]
+        harness._write_series(
+            tmp_path / "series.csv", header, [np.arange(1, len(rows) + 1), np.array(rows)]
+        )
+        cells = [[t, *row] for t, row in enumerate(rows, 1)]
+        harness._write_csv(tmp_path / "cells.csv", header, cells)
+        assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 class TestBanditSuite:
@@ -798,6 +855,18 @@ class TestReport:
         self.edit_records(path, edit)
         self.assert_report_fails(runs, tmp_path, str(path), "metrics field pulls must hold")
 
+    def test_fewer_pulls_than_the_horizon_is_a_report_error(self, tmp_path):
+        runs = self.write_greedy_runs(tmp_path)
+        path = runs / "greedy_run0001.jsonl"
+        self.edit_records(path, lambda records: records["metrics"]["pulls"].pop())
+        self.assert_report_fails(runs, tmp_path, str(path), "pulls must hold exactly 20 arms")
+
+    def test_horizon_past_any_run_is_a_report_error(self, tmp_path):
+        runs = self.write_greedy_runs(tmp_path)
+        for path in sorted(runs.glob("*.jsonl")):
+            self.edit_records(path, lambda records: records["config"].update(horizon=2**70))
+        self.assert_report_fails(runs, tmp_path, f"pulls must hold exactly {2**70} arms")
+
     def test_null_and_invalid_pulls_are_read(self, tmp_path):
         runs = self.write_greedy_runs(tmp_path)
 
@@ -1162,10 +1231,11 @@ class TestStepLineShapes:
             "config = harness.ExperimentConfig.from_dict({'suite': 'bandit', 'agent': 'dora_scheduled',"
             " 'runs': 2, 'horizon': 20, 'n_candidates': 5, 'backend': 'mock:' + sys.argv[1],"
             " 'output_dir': sys.argv[2]})\n"
+            "compiled = (harness._step_line_patterns, harness._step_run_patterns)\n"
             "harness.run_suite(config)\n"
-            "print(harness._step_line_patterns.cache_info().currsize)\n"
+            "print(*(f.cache_info().currsize for f in compiled))\n"
             "harness.report(sys.argv[2], sys.argv[3])\n"
-            "print(harness._step_line_patterns.cache_info().currsize)\n"
+            "print(*(f.cache_info().currsize for f in compiled))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code, write_bandit_mock(tmp_path / "mock.json"),
@@ -1174,7 +1244,143 @@ class TestStepLineShapes:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "1"]
+        assert done.stdout.splitlines() == ["0 0", "1 1"]
+
+
+def read_jsonl_by_line(path: Path) -> list[dict]:
+    """The reader ``report`` used before it skipped runs of step lines whole:
+    line by line, each stripped and then matched, decoded or skipped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            lines = fp.readlines()
+    except OSError as exc:
+        raise ReportError(f"cannot read run file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path}:{harness._undecodable_line(path)}: not UTF-8: {exc}") from exc
+    records = []
+    is_classical_step = harness._BANDIT_STEP_RE.fullmatch
+    is_bandit_step, is_keymaze_step = (p.fullmatch for p in harness._step_line_patterns())
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or is_classical_step(line) or is_bandit_step(line) or is_keymaze_step(line):
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ReportError(f"{path}:{line_no}: not a JSON object")
+        version = record.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise SchemaVersionError(
+                f"{path}:{line_no}: {record.get('kind', 'record')} field schema_version "
+                f"must be the integer {SCHEMA_VERSION}, got {version!r}"
+            )
+        records.append(record)
+    return records
+
+
+def classical_step_line(arm, reward, run, step) -> str:
+    valid = arm is not None
+    return harness._BANDIT_STEP_LINE % (arm if valid else "null", reward, run, step,
+                                        "true" if valid else "false")
+
+
+# One strategy per step-line shape, each as its writer writes the line.
+STEP_LINES = [
+    st.builds(classical_step_line, st.none() | JSON_INT, JSON_INT, JSON_INT, JSON_INT),
+    st.builds(
+        lambda record, run, arm, reward, valid: harness._step_line_from_record(
+            record, run, arm=arm, reward=reward, valid=valid
+        ),
+        step_records(), JSON_INT, st.none() | JSON_INT, JSON_INT, st.booleans(),
+    ),
+    st.builds(
+        lambda record, run, reward: harness._step_line_from_record(
+            record, run, observation=record.observation, reward=reward
+        ),
+        step_records(), JSON_INT, JSON_FLOAT,
+    ),
+]
+# Edits that take a step line off its shape: it is then decoded and read, or
+# is not JSON, or has the wrong schema_version.
+NEAR_MISSES = [
+    lambda line: line.replace(":", ": ", 1),
+    lambda line: line[:-1],
+    lambda line: line.replace('"schema_version":1', '"schema_version":1.0'),
+    lambda line: line + "x",
+]
+# A KeyMaze step line with a raw U+2028 (a line break to str.splitlines, not to
+# readlines) inside its action string.
+U2028_LINE = harness._step_line_from_record(
+    StepRecord(3, "hall", Mode.GREEDY, "go\u2028north"), 0, observation="hall", reward=0.0
+).replace("\\u2028", "\u2028")
+OTHER_LINES = st.one_of(
+    st.builds(
+        lambda kind, n: harness._dump_line({"schema_version": SCHEMA_VERSION, "kind": kind, "n": n}),
+        st.sampled_from(["config", "metrics"]), JSON_INT,
+    ),
+    st.sampled_from(["", " ", "\t", " \t  ", U2028_LINE]),
+    st.one_of(STEP_LINES).map(lambda line: line + " "),
+    st.one_of(STEP_LINES).map(lambda line: " " + line),
+)
+
+
+@st.composite
+def run_file_texts(draw) -> str:
+    """The text of a run file: runs of step lines of one shape, some with a
+    near-miss line inside, between other lines; mostly LF endings, with some
+    CRLF and lone CR, and maybe no final newline."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            shape = draw(st.sampled_from(STEP_LINES))
+            run = draw(st.lists(shape, min_size=1, max_size=5))
+            if draw(st.booleans()):
+                edit = draw(st.sampled_from(NEAR_MISSES))
+                at = draw(st.integers(0, len(run) - 1))
+                run.insert(at, edit(run[at]))
+            lines += run
+        else:
+            lines += draw(st.lists(OTHER_LINES, min_size=1, max_size=3))
+    ends = draw(st.lists(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def read_outcome(read, path: Path):
+    """What ``read(path)`` returns, or the type and text of the error it raises."""
+    try:
+        return read(path)
+    except ReportError as exc:
+        return type(exc), str(exc)
+
+
+class TestStepRunScan:
+    """``_read_jsonl`` skips a bounded run of step lines of one shape with one
+    pattern match, and reads every file as the per-line reader does."""
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(text=run_file_texts())
+    def test_reads_as_the_per_line_reader_does(self, tmp_path, text):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(harness._read_jsonl, path) == read_outcome(read_jsonl_by_line, path)
+
+    def test_a_match_takes_a_bounded_run_and_the_scan_goes_on(self, tmp_path):
+        step, limit = classical_step_line(1, 0, 0, 3), harness._STEP_RUN_LINES[0]
+        text = f"{step}\n" * (3 * limit)
+        assert harness._step_run_patterns()[0].match(text).group().count("\n") == limit
+        path = tmp_path / "run.jsonl"
+        bad = 2 * limit + 6
+        path.write_text(f"{step}\n" * (bad - 1) + "x\n" + f"{step}\n" * limit)
+        with pytest.raises(ReportError, match=f"run.jsonl:{bad}: not valid JSON"):
+            harness._read_jsonl(path)
+        assert read_outcome(harness._read_jsonl, path) == read_outcome(read_jsonl_by_line, path)
 
 
 class TestCli:
