@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -652,9 +653,20 @@ def _write_series(path: Path, header: list[str], columns: list[np.ndarray]) -> N
 # the step has them. As with _BANDIT_STEP_RE, a line that fully matches is a
 # JSON object whose schema_version is SCHEMA_VERSION: every key is written
 # plainly and once, and numbers and strings are JSON's. The string pattern is
-# the unrolled form, which is faster per character than an alternation.
-_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+# the unrolled form, which is faster per character than an alternation, and
+# its first branch closes a string that holds no escape.
+#
+# Every optional part is an alternation with an empty branch, ``(?:X|)``, not
+# ``(?:X)?``: ``re`` compiles ``?`` over a pattern of more than one op to a
+# REPEAT, whose state it keeps for every use until the match ends, and the
+# alternation to a BRANCH. Both try X first, so they take the same lines and
+# end a match at the same place. A fullmatch of a bandit DORA line with 5
+# candidates peaks at about 6 KB (tracemalloc) instead of 13 KB, and takes
+# about 4.4 us instead of 5.6 us.
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
+_JSON_CHARS = r'[^"\\\x00-\x1f]*'
+_JSON_ESCAPE = r'\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
+_JSON_STRING = f'"{_JSON_CHARS}(?:"|{_JSON_ESCAPE}{_JSON_CHARS}(?:{_JSON_ESCAPE}{_JSON_CHARS})*")'
 
 
 def _json_object_re(members: dict[str, str], optional: tuple[str, ...] = ()) -> str:
@@ -663,7 +675,7 @@ def _json_object_re(members: dict[str, str], optional: tuple[str, ...] = ()) -> 
     key in sorted order must not be."""
     *head, last = sorted(members)
     body = "".join(
-        f'(?:"{key}":{members[key]},)?' if key in optional else f'"{key}":{members[key]},'
+        f'(?:"{key}":{members[key]},|)' if key in optional else f'"{key}":{members[key]},'
         for key in head
     )
     return rf'\{{{body}"{last}":{members[last]}\}}'
@@ -684,7 +696,7 @@ def _step_line_patterns():
         {"action": _JSON_STRING, "prob": _JSON_NUMBER, "score": _JSON_NUMBER}
     )
     shared = {
-        "candidates": rf"\[(?:{candidate}(?:,{candidate})*)?\]",
+        "candidates": rf"\[(?:{candidate}(?:,{candidate})*|)\]",
         "chosen_action": _JSON_STRING,
         "fallback": _one_of(["null", *(f'"{reason.value}"' for reason in FallbackReason)]),
         "kind": '"step"',
@@ -705,11 +717,12 @@ def _step_line_patterns():
 
 # The most step lines one run-pattern match takes: classical, then bandit DORA
 # and KeyMaze. The regex engine keeps the backtracking state of every line of a
-# match until the match ends: about 0.7 KB per classical line, and 6-10 KB per
-# DORA or KeyMaze line with 5-8 candidates. These bounds keep it under 100 KB,
-# which malloc serves from its heap. At 64 DORA lines (about 600 KB, past
-# glibc's default 128 KiB mmap threshold) most processes took about 5900 page
-# faults per bandit-dora report() call, and up to twice the time.
+# match until the match ends: about 0.7 KB per classical line, 6 KB per bandit
+# DORA line with 5 candidates and 9 KB per KeyMaze line with 8. These bounds
+# keep it under 100 KB, which malloc serves from its heap. At 64 DORA lines
+# (about 600 KB, past glibc's default 128 KiB mmap threshold) most processes
+# took about 5900 page faults per bandit-dora report() call, and up to twice
+# the time.
 _STEP_RUN_LINES = (64, 8, 8)
 
 
@@ -733,85 +746,97 @@ def _read_jsonl(path: Path) -> list[dict]:
     """Every record of a run file but its step lines, which are checked against
     the shapes their writers give them instead of decoded.
 
-    The file is read whole, with universal newlines, so its lines are those of
-    ``readlines()``. At each line start, each step-run pattern is tried in
+    The file is read as bytes and decoded once. CRLF and then CR become LF
+    when the text holds a CR, so its lines are those of ``readlines()`` with
+    universal newlines. At each line start, each step-run pattern is tried in
     turn, and a match skips up to ``_STEP_RUN_LINES`` step lines of its shape
-    at once, with the line number advanced by the newlines it took. Any other line
-    is stripped of surrounding whitespace, skipped if it is blank or fully
-    matches a step shape, and otherwise decoded and checked.
+    at once. Any other line is stripped of surrounding whitespace, skipped if
+    it is blank or fully matches a step shape, and otherwise decoded and
+    checked. Line numbers are counted only for the line that fails.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            text = fp.read()
+        data = path.read_bytes()
     except OSError as exc:
         raise ReportError(f"cannot read run file {path}: {exc}") from exc
+    try:
+        text = _newlines_to_lf(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ReportError(f"{path}:{_undecodable_line(path)}: not UTF-8: {exc}") from exc
+        before = _newlines_to_lf(data[: exc.start].decode("utf-8"))
+        raise ReportError(f"{_where(path, before, len(before))}: not UTF-8: {exc}") from exc
     records = []
     step_runs = [pattern.match for pattern in _step_run_patterns()]
     is_classical_step = _BANDIT_STEP_RE.fullmatch
     is_bandit_step, is_keymaze_step = (pattern.fullmatch for pattern in _step_line_patterns())
-    pos, line_no, size = 0, 0, len(text)
+    pos, size = 0, len(text)
     while pos < size:
         for step_run in step_runs:
             run = step_run(text, pos)
             if run:
-                line_no += text.count("\n", pos, run.end())
                 pos = run.end()
                 break
         else:
             stop = text.find("\n", pos) + 1 or size  # past the newline, or the end
             line = text[pos:stop].strip()
-            pos = stop
-            line_no += 1
             if line and not (
                 is_classical_step(line) or is_bandit_step(line) or is_keymaze_step(line)
             ):
-                records.append(_decode_line(path, line_no, line))
+                records.append(_decode_line(path, text, pos, line))
+            pos = stop
     return records
 
 
-def _decode_line(path: Path, line_no: int, line: str) -> dict:
-    """The record of a line that is no step line: a JSON object of this schema."""
+def _newlines_to_lf(text: str) -> str:
+    """``text`` with universal newlines: every CRLF and lone CR becomes LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _where(path: Path, text: str, pos: int) -> str:
+    """``path:line`` for the line of ``text`` that holds ``pos``."""
+    line_no = text.count("\n", 0, pos) + 1
+    return f"{path}:{line_no}"
+
+
+def _decode_line(path: Path, text: str, pos: int, line: str) -> dict:
+    """The record of ``line``, which starts at ``pos`` of ``text`` and is no
+    step line: a JSON object of this schema."""
     try:
         record = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
-        raise ReportError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+        raise ReportError(f"{_where(path, text, pos)}: not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
-        raise ReportError(f"{path}:{line_no}: not a JSON object")
+        raise ReportError(f"{_where(path, text, pos)}: not a JSON object")
     version = record.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionError(
-            f"{path}:{line_no}: {record.get('kind', 'record')} field schema_version "
+            f"{_where(path, text, pos)}: {record.get('kind', 'record')} field schema_version "
             f"must be the integer {SCHEMA_VERSION}, got {version!r}"
         )
     return record
 
 
-def _undecodable_line(path: Path) -> int:
-    """The number of the first line of ``path`` that is not UTF-8, counted as
-    :func:`_read_jsonl` counts lines."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
-        return next(n for n, line in enumerate(fp, 1) if re.search("[\udc80-\udcff]", line))
-
-
-_TEXT = ((str,), None, "a string")
-_COUNT = ((int,), None, "an integer")
+# An agent names plot files and table rows, so it must be a plain file-name
+# part; counts and reals must average and sum to finite floats.
+_AGENT = (
+    (str,),
+    lambda v: re.fullmatch(r"[\w.-]{1,64}", v, re.ASCII) is not None,
+    "1 to 64 ASCII letters, digits, '_', '.' or '-'",
+)
+_COUNT = ((int,), lambda v: 0 <= v < 2**63, "an integer in [0, 2**63)")
 _SIZE = ((int,), lambda v: v >= 1, "an integer >= 1")
-_REAL = (_NUMBER, None, "a number")
+_REAL = (_NUMBER, lambda v: abs(v) <= sys.float_info.max, "a finite number")
 
 # (field, (accepted types, check, what it must be)) for every field ``report``
 # reads from a run file's (config, metrics) records, by suite; as in
 # _FIELD_RULES, the type must match exactly, so a boolean is no integer.
 _REPORT_FIELDS = {
     "bandit": (
-        (("agent", _TEXT), ("num_arms", _SIZE), ("horizon", _SIZE)),
+        (("agent", _AGENT), ("num_arms", _SIZE), ("horizon", _SIZE)),
         (("best_arm", _COUNT), ("mean_avg_reward", _REAL), ("cum_regret", _REAL),
          ("best_arm_frac", _REAL), ("suffix_failure", ((bool,), None, "a boolean")),
          ("invalid_count", _COUNT), ("pulls", ((list,), None, "a list"))),
     ),
     "keymaze": (
-        (("agent", _TEXT),),
+        (("agent", _AGENT),),
         (("score", _REAL), ("steps", _COUNT), ("unique_states", _COUNT),
          ("loops_encountered", _COUNT), ("loops_recovered", _COUNT)),
     ),
@@ -840,6 +865,13 @@ def _pulls_fit(pulls: list, num_arms: int, horizon: int) -> bool:
     return not arms or (min(arms) >= 0 and max(arms) < num_arms)
 
 
+# The most cells ``report`` writes into one arm-selection plot: a ``t``
+# column, one per arm and an ``invalid`` column, by ``horizon`` rows. The demo
+# plots hold 1,400; a plot at the limit took about 600 MB of memory and 3 s
+# to build and write on a 2-vCPU host.
+MAX_PLOT_CELLS = 10_000_000
+
+
 def report(input_dir, output_dir) -> list[Path]:
     """Aggregate a directory of run JSONL files into summary tables and plot CSVs.
 
@@ -847,9 +879,10 @@ def report(input_dir, output_dir) -> list[Path]:
     holds no artifacts, any line is not a JSON object or its
     ``schema_version`` is not exactly the integer :data:`SCHEMA_VERSION`, a
     config record's ``suite`` is not one of :data:`SUITES`, a config or
-    metrics record lacks a field read here or holds one of the wrong type, a
-    bandit run's ``pulls`` do not fit its ``(num_arms, horizon)``, or one
-    bandit agent's runs differ in ``(num_arms, horizon)``.
+    metrics record lacks a field read here or holds one of the wrong type or
+    out of range, a bandit run's ``pulls`` do not fit its ``(num_arms,
+    horizon)``, its arm-selection plot would pass :data:`MAX_PLOT_CELLS`, or
+    one bandit agent's runs differ in ``(num_arms, horizon)``.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -877,6 +910,12 @@ def report(input_dir, output_dir) -> list[Path]:
                 raise ReportError(
                     f"{path}: metrics field pulls must hold exactly {shape[1]} arms, each "
                     f"null, {INVALID_PULL} or an integer in [0, {shape[0]})"
+                )
+            cells = (shape[0] + 2) * shape[1]
+            if cells > MAX_PLOT_CELLS:
+                raise ReportError(
+                    f"{path}: (num_arms, horizon) = {shape} needs an arm-selection plot of "
+                    f"{cells} cells, past the limit of {MAX_PLOT_CELLS}"
                 )
             first_shape, first_path = bandit_shape.setdefault(agent, (shape, path))
             if shape != first_shape:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
+import select
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -39,6 +42,8 @@ BANDIT_ACTIONS = "press blue button\npress green button\npress red button\npress
 
 # A 5000-digit integer, past CPython's default limit on converting str to int.
 LONG_INT = "1" + "0" * 5000
+# An integer JSON decodes, but no float holds.
+HUGE = 10**400
 needs_int_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
 )
@@ -867,6 +872,70 @@ class TestReport:
             self.edit_records(path, lambda records: records["config"].update(horizon=2**70))
         self.assert_report_fails(runs, tmp_path, f"pulls must hold exactly {2**70} arms")
 
+    def test_arm_count_past_the_plot_limit_is_a_report_error(self, tmp_path, report_child):
+        runs = self.write_greedy_runs(tmp_path)
+        for path in sorted(runs.glob("*.jsonl")):
+            self.edit_records(path, lambda records: records["config"].update(num_arms=2**70))
+        out = tmp_path / "tables"
+        outcome, message = report_child(runs, out)
+        assert outcome == "ReportError", message
+        assert f"(num_arms, horizon) = ({2**70}, 20)" in message
+        assert f"past the limit of {harness.MAX_PLOT_CELLS}" in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_plot_at_the_cell_limit_is_written_and_one_past_is_refused(
+        self, tmp_path, monkeypatch, spare
+    ):
+        runs = self.write_greedy_runs(tmp_path)
+        monkeypatch.setattr(harness, "MAX_PLOT_CELLS", (5 + 2) * 20 + spare)
+        if spare:
+            self.assert_report_fails(runs, tmp_path, "(num_arms, horizon) = (5, 20)", "139")
+        else:
+            assert report(runs, tmp_path / "tables")
+
+    @pytest.mark.parametrize(
+        "kind,name,value",
+        [
+            ("config", "agent", "a/b"),
+            ("config", "agent", "../greedy"),
+            ("config", "agent", "a\x00b"),
+            ("config", "agent", "\ud800"),
+            ("config", "agent", "a,b"),
+            ("config", "agent", ""),
+            ("config", "agent", "x" * 65),
+            ("metrics", "mean_avg_reward", HUGE),
+            ("metrics", "cum_regret", float("nan")),
+            ("metrics", "best_arm_frac", float("-inf")),
+            ("metrics", "best_arm", HUGE),
+            ("metrics", "invalid_count", 2**63),
+            ("metrics", "invalid_count", -1),
+        ],
+        ids=lambda value: "HUGE" if value == HUGE else None,
+    )
+    def test_bandit_field_out_of_range_is_a_report_error(self, tmp_path, kind, name, value):
+        runs = self.write_greedy_runs(tmp_path)
+        path = runs / "greedy_run0001.jsonl"
+        self.edit_records(path, lambda records: records[kind].update({name: value}))
+        self.assert_report_fails(runs, tmp_path, str(path), f"{kind} field {name} must be")
+
+    @pytest.mark.parametrize(
+        "kind,name,value",
+        [
+            ("config", "agent", "\ud800"),
+            ("config", "agent", "a\nb"),
+            ("metrics", "score", HUGE),
+            ("metrics", "score", float("nan")),
+            ("metrics", "steps", HUGE),
+            ("metrics", "loops_recovered", HUGE),
+        ],
+        ids=lambda value: "HUGE" if value == HUGE else None,
+    )
+    def test_keymaze_field_out_of_range_is_a_report_error(self, tmp_path, kind, name, value):
+        path = self.write_keymaze_run(tmp_path)
+        self.edit_records(path, lambda records: records[kind].update({name: value}))
+        self.assert_report_fails(path.parent, tmp_path, str(path), f"{kind} field {name} must be")
+
     def test_null_and_invalid_pulls_are_read(self, tmp_path):
         runs = self.write_greedy_runs(tmp_path)
 
@@ -1249,14 +1318,17 @@ class TestStepLineShapes:
 
 def read_jsonl_by_line(path: Path) -> list[dict]:
     """The reader ``report`` used before it skipped runs of step lines whole:
-    line by line, each stripped and then matched, decoded or skipped."""
+    the file read as text with universal newlines, then line by line, each
+    stripped and then matched, decoded or skipped. The text is decoded whole, so
+    a decoding error names its byte position in the file (``readlines`` on the
+    file would name it within an 8 KiB chunk)."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            lines = fp.readlines()
+            lines = io.StringIO(fp.read()).readlines()
     except OSError as exc:
         raise ReportError(f"cannot read run file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ReportError(f"{path}:{harness._undecodable_line(path)}: not UTF-8: {exc}") from exc
+        raise ReportError(f"{path}:{undecodable_line(path)}: not UTF-8: {exc}") from exc
     records = []
     is_classical_step = harness._BANDIT_STEP_RE.fullmatch
     is_bandit_step, is_keymaze_step = (p.fullmatch for p in harness._step_line_patterns())
@@ -1278,6 +1350,13 @@ def read_jsonl_by_line(path: Path) -> list[dict]:
             )
         records.append(record)
     return records
+
+
+def undecodable_line(path: Path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8, counted over
+    the lines of the file read with universal newlines."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
+        return next(n for n, line in enumerate(fp, 1) if re.search("[\udc80-\udcff]", line))
 
 
 def classical_step_line(arm, reward, run, step) -> str:
@@ -1350,6 +1429,30 @@ def run_file_texts(draw) -> str:
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+# Byte sequences that are not UTF-8: a stray continuation byte, a lead byte
+# without its continuation, a cut three-byte sequence, an encoded surrogate, an
+# overlong slash, and 0xff.
+BAD_UTF8 = [b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf", b"\xff"]
+
+
+@st.composite
+def run_file_bytes(draw) -> bytes:
+    """The bytes of a run file: a drawn text, encoded, then maybe a UTF-8 BOM
+    in front, some LF line ends turned into CRLF or a lone CR, and bytes that
+    are not UTF-8 put inside a drawn line."""
+    data = draw(run_file_texts()).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    lines = data.split(b"\n")
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=len(lines) - 1,
+                         max_size=len(lines) - 1))
+    data = lines[0] + b"".join(end + line for end, line in zip(ends, lines[1:]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_UTF8)) + data[at:]
+    return data
+
+
 def read_outcome(read, path: Path):
     """What ``read(path)`` returns, or the type and text of the error it raises."""
     try:
@@ -1365,10 +1468,10 @@ class TestStepRunScan:
     @settings(
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(text=run_file_texts())
-    def test_reads_as_the_per_line_reader_does(self, tmp_path, text):
+    @given(data=run_file_texts().map(lambda text: text.encode("utf-8")) | run_file_bytes())
+    def test_reads_as_the_per_line_reader_does(self, tmp_path, data):
         path = tmp_path / "run.jsonl"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(data)
         assert read_outcome(harness._read_jsonl, path) == read_outcome(read_jsonl_by_line, path)
 
     def test_a_match_takes_a_bounded_run_and_the_scan_goes_on(self, tmp_path):
@@ -1381,6 +1484,274 @@ class TestStepRunScan:
         with pytest.raises(ReportError, match=f"run.jsonl:{bad}: not valid JSON"):
             harness._read_jsonl(path)
         assert read_outcome(harness._read_jsonl, path) == read_outcome(read_jsonl_by_line, path)
+
+    def test_bad_byte_past_the_first_chunk_names_its_file_position(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        config = harness._dump_line({"schema_version": SCHEMA_VERSION, "kind": "config"})
+        path.write_bytes(f"{config}\r\n".encode() * 400 + b"\xff\n")
+        outcome = read_outcome(harness._read_jsonl, path)
+        assert outcome == (
+            ReportError,
+            f"{path}:401: not UTF-8: 'utf-8' codec can't decode byte 0xff in position "
+            f"{(len(config) + 2) * 400}: invalid start byte",
+        )
+        assert outcome == read_outcome(read_jsonl_by_line, path)
+
+
+# The step shapes as they were built before every optional part became an
+# alternation with an empty branch: ``(?:X)?`` for the number's fraction and
+# exponent, an optional member and the candidate list, and the string pattern
+# without its first closing branch.
+OLD_JSON_NUMBER = harness._JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+OLD_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+
+
+def old_json_object_re(members: dict[str, str], optional: tuple[str, ...] = ()) -> str:
+    *head, last = sorted(members)
+    body = "".join(
+        f'(?:"{key}":{members[key]},)?' if key in optional else f'"{key}":{members[key]},'
+        for key in head
+    )
+    return rf'\{{{body}"{last}":{members[last]}\}}'
+
+
+def old_step_line_shapes() -> tuple[str, str]:
+    candidate = old_json_object_re(
+        {"action": OLD_JSON_STRING, "prob": OLD_JSON_NUMBER, "score": OLD_JSON_NUMBER}
+    )
+    shared = {
+        "candidates": rf"\[(?:{candidate}(?:,{candidate})*)?\]",
+        "chosen_action": OLD_JSON_STRING,
+        "fallback": harness._one_of(["null", *(f'"{reason.value}"' for reason in FallbackReason)]),
+        "kind": '"step"',
+        "lambda": OLD_JSON_NUMBER,
+        "mode": harness._one_of(f'"{mode.value}"' for mode in Mode),
+        "reward": OLD_JSON_NUMBER,
+        "run": harness._JSON_INT,
+        "schema_version": str(SCHEMA_VERSION),
+        "step": harness._JSON_INT,
+    }
+    bandit = {**shared, "arm": f"(?:null|{harness._JSON_INT})", "valid": "(?:true|false)"}
+    keymaze = {**shared, "observation": OLD_JSON_STRING}
+    return tuple(old_json_object_re(members, ("candidates", "lambda")) for members in (bandit, keymaze))
+
+
+OLD_SHAPES = [re.compile(shape) for shape in old_step_line_shapes()]
+OLD_RUNS = [
+    re.compile(rf"(?:{shape}\n){{1,{lines}}}")
+    for shape, lines in zip(old_step_line_shapes(), harness._STEP_RUN_LINES[1:])
+]
+# Characters the shapes turn on, for edits that take a line near its shape.
+SHAPE_CHARACTERS = '"\\{}[],:.-+eE0123456789ntrufalsbx/ \x01\x1f\u00e9'
+
+
+@st.composite
+def edited(draw, line: str) -> str:
+    """``line`` after one to three edits: a character deleted, put in or
+    replaced, or a slice deleted or repeated."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(line)))
+        end = draw(st.integers(at, min(len(line), at + 12)))
+        char = draw(st.sampled_from(SHAPE_CHARACTERS))
+        edit = draw(st.sampled_from(["delete", "insert", "replace", "cut", "repeat"]))
+        line = {
+            "delete": line[:at] + line[at + 1:],
+            "insert": line[:at] + char + line[at:],
+            "replace": line[:at] + char + line[at + 1:],
+            "cut": line[:at] + line[end:],
+            "repeat": line[:end] + line[at:],
+        }[edit]
+    return line
+
+
+def shape_lines(shape: int):
+    """Lines written in one DORA shape (0 bandit, 1 KeyMaze), some edited."""
+    written = STEP_LINES[1 + shape]
+    return written | written.flatmap(edited)
+
+
+class TestBranchFormShapes:
+    """The step shapes written with ``(?:X|)`` take exactly the lines the
+    shapes written with ``(?:X)?`` took, and a run match ends where it did."""
+
+    NEW_SHAPES = harness._step_line_patterns()
+    NEW_RUNS = harness._step_run_patterns()[1:]
+
+    @pytest.mark.parametrize("shape", [0, 1], ids=["bandit", "keymaze"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_drawn_lines_match_both_or_neither(self, shape, data):
+        old, new = OLD_SHAPES[shape], self.NEW_SHAPES[shape]
+        line = data.draw(st.from_regex(old, fullmatch=True) | st.from_regex(new, fullmatch=True))
+        assert old.fullmatch(line) and new.fullmatch(line)
+
+    @pytest.mark.parametrize("shape", [0, 1], ids=["bandit", "keymaze"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_edited_lines_match_alike_and_runs_end_alike(self, shape, data):
+        lines = data.draw(st.lists(shape_lines(shape), min_size=1, max_size=6))
+        old, new = OLD_SHAPES[shape], self.NEW_SHAPES[shape]
+        for line in lines:
+            assert bool(old.fullmatch(line)) == bool(new.fullmatch(line)), line
+        text = "".join(line + "\n" for line in lines)
+        old_run, new_run = OLD_RUNS[shape], self.NEW_RUNS[shape]
+        pos = 0
+        while pos < len(text):
+            old_match, new_match = old_run.match(text, pos), new_run.match(text, pos)
+            assert (old_match and old_match.end()) == (new_match and new_match.end()), text[pos:]
+            pos = text.index("\n", pos) + 1
+
+
+# A small directory of run files, 2 runs each of ucb, the bandit DORA mock and
+# the KeyMaze DORA mock, from the demo configs with horizon 16 and max_steps 12.
+REPORT_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "report_runs"
+FIXTURE_FILES = {
+    path.relative_to(REPORT_FIXTURE).as_posix(): path.read_bytes()
+    for path in sorted(REPORT_FIXTURE.glob("*/*.jsonl"))
+}
+# The address space a report child may take; a plot at MAX_PLOT_CELLS takes
+# about 600 MB.
+REPORT_MEMORY_CAP = 2 * 1024**3
+# Reads "runs out" pairs as JSON lines and prints the outcome of report for
+# each: the names it wrote, or the text of the ReportError it raised. Any other
+# error ends the process.
+REPORT_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from dora.harness import ReportError, report
+for line in sys.stdin:
+    try:
+        outcome = ["written", sorted(path.name for path in report(*json.loads(line)))]
+    except ReportError as exc:
+        outcome = ["ReportError", str(exc)]
+    print(json.dumps(outcome), flush=True)
+"""
+
+
+class ReportChild:
+    """``report`` in a child process under ``REPORT_MEMORY_CAP``, started on
+    first use and again after a call that ended it."""
+
+    TIMEOUT_S = 60
+
+    def __init__(self):
+        self.process = None
+
+    def __call__(self, runs: Path, out: Path) -> list:
+        """``["written", names]``, ``["ReportError", message]``, or
+        ``["ended", stderr]`` when the child died or hung."""
+        if self.process is None:
+            self.stderr = tempfile.TemporaryFile()
+            self.process = subprocess.Popen(
+                [sys.executable, "-c", REPORT_CHILD, str(REPORT_MEMORY_CAP)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self.stderr, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        self.process.stdin.write(json.dumps([str(runs), str(out)]) + "\n")
+        self.process.stdin.flush()
+        if select.select([self.process.stdout], [], [], self.TIMEOUT_S)[0]:
+            reply = self.process.stdout.readline()
+            if reply:
+                return json.loads(reply)
+        self.close()
+        self.stderr.seek(0)
+        return ["ended", self.stderr.read().decode(errors="replace")[-4000:]]
+
+    def close(self) -> None:
+        if self.process is not None:
+            self.process.kill()
+            self.process.wait()
+            self.process = None
+
+
+@pytest.fixture(scope="module")
+def report_child():
+    child = ReportChild()
+    yield child
+    child.close()
+
+
+# Values a field is set to half of the time: numbers and strings at the edges
+# of what a reader or a file name takes. The other half is any JSON value.
+HOSTILE_VALUES = [
+    -1, 0, 2**63, 2**70, -(2**70), HUGE, -HUGE, 1e308, -1e308,
+    float("nan"), float("inf"), "", "a/b", "../x", "a,b", "a\nb", "a\x00b", "\ud800", "x" * 300,
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=4), values, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def fixture_mutants(draw) -> dict[str, bytes]:
+    """The fixture's files after one mutation of one file: a field of a line
+    set to another JSON value or deleted, one byte changed, or one line dropped."""
+    files = dict(FIXTURE_FILES)
+    name = draw(st.sampled_from(sorted(files)))
+    data = files[name]
+    mutation = draw(st.sampled_from(["set", "delete", "byte", "drop"]))
+    if mutation == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        files[name] = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        return files
+    lines = data.splitlines()
+    # The config and metrics lines, which report reads, half of the time.
+    at = draw(st.sampled_from([0, len(lines) - 1]) | st.integers(0, len(lines) - 1))
+    if mutation == "drop":
+        del lines[at]
+    else:
+        record = json.loads(lines[at])
+        key = draw(st.sampled_from(sorted(record)))
+        if mutation == "delete":
+            del record[key]
+        else:
+            record[key] = draw(st.sampled_from(HOSTILE_VALUES) | JSON_VALUES)
+        # As the writer lays a line out, with NaN and Infinity allowed.
+        lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    files[name] = b"".join(line + b"\n" for line in lines)
+    return files
+
+
+class TestReportFuzz:
+    """``report`` over any single mutation of a small run directory writes
+    every table, or raises ReportError and leaves no output directory."""
+
+    def test_fixture_is_reported_whole(self, tmp_path, report_child):
+        outcome, names = report_child(REPORT_FIXTURE, tmp_path / "tables")
+        assert outcome == "written", names
+        assert names == sorted(
+            ["metric_table.csv", "loops_table.csv"]
+            + [f"{plot}_{agent}.csv" for plot in ("arm_selection", "best_arm_fraction")
+               for agent in ("dora_scheduled", "ucb")]
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(files=fixture_mutants())
+    def test_mutant_is_reported_whole_or_refused(self, report_child, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            runs, out = Path(tmp) / "runs", Path(tmp) / "tables"
+            for name, data in files.items():
+                (runs / name).parent.mkdir(parents=True, exist_ok=True)
+                (runs / name).write_bytes(data)
+            outcome, detail = report_child(runs, out)
+            if outcome == "ReportError":
+                assert not out.exists(), detail
+                return
+            assert outcome == "written", detail
+            names = {path.name for path in out.iterdir()}
+            assert names == set(detail)
+            plots = sorted(names - {"metric_table.csv", "loops_table.csv"})
+            assert len(plots) == len(names) - 2
+            arms = [name.removeprefix("arm_selection_") for name in plots if name.startswith("arm_")]
+            fractions = [name.removeprefix("best_arm_fraction_") for name in plots
+                         if name.startswith("best_")]
+            assert arms and arms == fractions
 
 
 class TestCli:
