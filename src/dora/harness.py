@@ -49,7 +49,7 @@ from .bandit import (
     run_bandit,
 )
 from .lambda_control import MAX_GROWTH_K, LambdaSchedule, PolicySampledLambda, ScheduledLambda
-from .policy import BackendError, MockPolicy, Mode, PromptKind, RemotePolicy
+from .policy import BackendError, MockPolicy, Mode, PromptKind, RemotePolicy, first_action
 from .textenv import KeyMazeWorld, loop_stats
 
 SCHEMA_VERSION = 1
@@ -351,19 +351,6 @@ _BANDIT_STEP_LINE = (
 )
 
 
-# The lines _BANDIT_STEP_LINE can write: a line that fully matches is a JSON
-# object whose schema_version is SCHEMA_VERSION, so ``report`` skips it
-# undecoded. Integers are JSON's (no leading zero) and at most 18 digits long,
-# so every other line, one with a 5000-digit integer too, is decoded and checked.
-_JSON_INT = r"-?(?:0|[1-9][0-9]{0,17})"
-_BANDIT_STEP_RE = re.compile(
-    re.escape(_BANDIT_STEP_LINE)
-    .replace("%s", f"(?:null|{_JSON_INT})", 1)
-    .replace("%d", _JSON_INT)
-    .replace("%s", "(?:true|false)")
-)
-
-
 def _bandit_step_text(run: BanditRun, run_index: int) -> list[str]:
     line = _BANDIT_STEP_LINE
     return [
@@ -374,6 +361,37 @@ def _bandit_step_text(run: BanditRun, run_index: int) -> list[str]:
     ]
 
 
+def _run_backend_agent(
+    config: ExperimentConfig, backend_factory, env, max_steps: int, seed: int,
+    greedy_kind: PromptKind, context_builder=None, parse_action=first_action,
+) -> EpisodeLog | None:
+    """One episode of a backend agent on ``env``: the temperature baseline
+    (``llm_temp``) or DORA, which samples from the ``[seed, 2]`` stream.
+
+    Returns the episode whose step records the run file holds, or None for
+    bandit ``llm_temp``: under schema 1 its step lines hold only the classical
+    fields, so they are written from ``_BANDIT_STEP_LINE`` as the classical
+    agents' are. The planned schema v2 (see ROADMAP) writes them from the records.
+    """
+    backend = backend_factory()
+    params = config.dora_params(greedy_kind)
+    if config.agent == "llm_temp":
+        tau = config.temperature_schedule(max_steps)
+        step = temperature_step(backend, params, tau, context_builder, parse_action)
+        episode = drive_episode(backend, env, step, max_steps, seed)
+        return episode if config.suite == "keymaze" else None
+    return run_episode(
+        backend,
+        env,
+        config.lambda_source(max_steps),
+        params,
+        max_steps=max_steps,
+        rng=np.random.default_rng([seed, 2]),
+        context_builder=context_builder,
+        seed=seed,
+    )
+
+
 def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
     seed = config.master_seed + run_index
     instance = make_hard_instance(config.num_arms, config.gap, config.horizon, seed)
@@ -382,25 +400,11 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
     if config.agent in CLASSICAL_AGENTS:
         run = run_bandit(CLASSICAL_POLICIES[config.agent](), instance, seed)
     else:
-        backend = backend_factory()
         env = BanditEnv(instance, seed)
-        params = config.dora_params(PromptKind.MAB_ANSWER)
-        context_builder = make_mab_context_builder(instance)
-        if config.agent == "llm_temp":
-            tau = config.temperature_schedule(config.horizon)
-            step = temperature_step(backend, params, tau, context_builder, answer_action)
-            drive_episode(backend, env, step, config.horizon, seed)
-        else:
-            episode = run_episode(
-                backend,
-                env,
-                config.lambda_source(config.horizon),
-                params,
-                max_steps=config.horizon,
-                rng=np.random.default_rng([seed, 2]),
-                context_builder=context_builder,
-                seed=seed,
-            )
+        episode = _run_backend_agent(
+            config, backend_factory, env, config.horizon, seed, PromptKind.MAB_ANSWER,
+            make_mab_context_builder(instance), answer_action,
+        )
         run = env.to_run()
 
     metrics = compute_metrics(run, instance)
@@ -437,26 +441,11 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
 
 def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
     seed = config.master_seed + run_index
-    world = (
-        KeyMazeWorld.from_file(config.world) if config.world else KeyMazeWorld()
-    )
+    world = KeyMazeWorld.from_file(config.world) if config.world else KeyMazeWorld()
     max_steps = config.max_steps or world.horizon
-    backend = backend_factory()
-    params = config.dora_params(PromptKind.GREEDY_ACTION)
-
-    if config.agent == "llm_temp":
-        step = temperature_step(backend, params, config.temperature_schedule(max_steps))
-        episode = drive_episode(backend, world, step, max_steps, seed)
-    else:
-        episode = run_episode(
-            backend,
-            world,
-            config.lambda_source(max_steps),
-            params,
-            max_steps=max_steps,
-            rng=np.random.default_rng([seed, 2]),
-            seed=seed,
-        )
+    episode = _run_backend_agent(
+        config, backend_factory, world, max_steps, seed, PromptKind.GREEDY_ACTION
+    )
 
     stats = loop_stats(episode)
     step_text = [
@@ -486,16 +475,20 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     they run serially by default and in ``os.cpu_count()`` threads for the
     remote backend; ``config.workers`` overrides either. Each run writes its
     JSONL file as soon as it ends, so only the metrics of finished runs stay
-    in memory; an error writing the file escapes. The aggregate CSV, the plot
-    CSVs and summary.json are written after the last run, from the metrics
-    in run order. Repeated invocations with the same config and master seed
-    therefore produce identical bytes for mock and classical agents, whatever
-    the worker count.
+    in memory; an error writing the file escapes, but an ``output_dir`` that
+    cannot be made a directory is a :class:`ConfigError` before any run
+    starts. The aggregate CSV, the plot CSVs and summary.json are written
+    after the last run, from the metrics in run order. Repeated invocations
+    with the same config and master seed therefore produce identical bytes
+    for mock and classical agents, whatever the worker count.
     """
     config.validate()
     backend_factory = config.backend_factory()
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
 
     runner = _run_bandit_one if config.suite == "bandit" else _run_keymaze_one
 
@@ -648,13 +641,15 @@ def _write_series(path: Path, header: list[str], columns: list[np.ndarray]) -> N
 # --- reporting -------------------------------------------------------------------
 
 
-# The step lines _step_line_from_record writes, laid out as _dump_line lays
-# them out: keys sorted, no whitespace, ``lambda`` and ``candidates`` only when
-# the step has them. As with _BANDIT_STEP_RE, a line that fully matches is a
-# JSON object whose schema_version is SCHEMA_VERSION: every key is written
-# plainly and once, and numbers and strings are JSON's. The string pattern is
-# the unrolled form, which is faster per character than an alternation, and
-# its first branch closes a string that holds no escape.
+# The step lines _BANDIT_STEP_LINE and _step_line_from_record write, laid out
+# as _dump_line lays them out: keys sorted, no whitespace, ``lambda`` and
+# ``candidates`` only when the step has them. A line that fully matches is a
+# JSON object whose schema_version is SCHEMA_VERSION, so ``report`` skips it
+# undecoded: every key is written plainly and once, and numbers and strings are
+# JSON's. Integers have no leading zero and at most 18 digits, so every other
+# line, one with a 5000-digit integer too, is decoded and checked. The string
+# pattern is the unrolled form, which is faster per character than an
+# alternation, and its first branch closes a string that holds no escape.
 #
 # Every optional part is an alternation with an empty branch, ``(?:X|)``, not
 # ``(?:X)?``: ``re`` compiles ``?`` over a pattern of more than one op to a
@@ -663,6 +658,7 @@ def _write_series(path: Path, header: list[str], columns: list[np.ndarray]) -> N
 # end a match at the same place. A fullmatch of a bandit DORA line with 5
 # candidates peaks at about 6 KB (tracemalloc) instead of 13 KB, and takes
 # about 4.4 us instead of 5.6 us.
+_JSON_INT = r"-?(?:0|[1-9][0-9]{0,17})"
 _JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
 _JSON_CHARS = r'[^"\\\x00-\x1f]*'
 _JSON_ESCAPE = r'\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
@@ -687,31 +683,32 @@ def _one_of(values) -> str:
 
 @functools.cache
 def _step_line_patterns():
-    """The patterns of the bandit DORA and the KeyMaze step line.
+    """The patterns of the classical, the bandit DORA and the KeyMaze step line.
 
     Compiled when ``report`` first reads a file, never at import: ``run_suite``
     does not need them.
     """
+    shared = {"kind": '"step"', "run": _JSON_INT, "schema_version": str(SCHEMA_VERSION),
+              "step": _JSON_INT}
+    bandit = {**shared, "arm": f"(?:null|{_JSON_INT})", "valid": "(?:true|false)"}
     candidate = _json_object_re(
         {"action": _JSON_STRING, "prob": _JSON_NUMBER, "score": _JSON_NUMBER}
     )
-    shared = {
+    record = {
         "candidates": rf"\[(?:{candidate}(?:,{candidate})*|)\]",
         "chosen_action": _JSON_STRING,
         "fallback": _one_of(["null", *(f'"{reason.value}"' for reason in FallbackReason)]),
-        "kind": '"step"',
         "lambda": _JSON_NUMBER,
         "mode": _one_of(f'"{mode.value}"' for mode in Mode),
         "reward": _JSON_NUMBER,
-        "run": _JSON_INT,
-        "schema_version": str(SCHEMA_VERSION),
-        "step": _JSON_INT,
     }
-    bandit = {**shared, "arm": f"(?:null|{_JSON_INT})", "valid": "(?:true|false)"}
-    keymaze = {**shared, "observation": _JSON_STRING}
     return tuple(
         re.compile(_json_object_re(members, ("candidates", "lambda")))
-        for members in (bandit, keymaze)
+        for members in (
+            {**bandit, "reward": _JSON_INT},
+            {**bandit, **record},
+            {**shared, **record, "observation": _JSON_STRING},
+        )
     )
 
 
@@ -735,10 +732,9 @@ def _step_run_patterns():
     Compiled when ``report`` first reads a file, as :func:`_step_line_patterns` is.
     No step shape matches a newline, so a run ends on a line boundary.
     """
-    shapes = (_BANDIT_STEP_RE, *_step_line_patterns())
     return tuple(
         re.compile(rf"(?:{shape.pattern}\n){{1,{lines}}}")
-        for shape, lines in zip(shapes, _STEP_RUN_LINES)
+        for shape, lines in zip(_step_line_patterns(), _STEP_RUN_LINES)
     )
 
 
@@ -765,8 +761,7 @@ def _read_jsonl(path: Path) -> list[dict]:
         raise ReportError(f"{_where(path, before, len(before))}: not UTF-8: {exc}") from exc
     records = []
     step_runs = [pattern.match for pattern in _step_run_patterns()]
-    is_classical_step = _BANDIT_STEP_RE.fullmatch
-    is_bandit_step, is_keymaze_step = (pattern.fullmatch for pattern in _step_line_patterns())
+    step_shapes = [pattern.fullmatch for pattern in _step_line_patterns()]
     pos, size = 0, len(text)
     while pos < size:
         for step_run in step_runs:
@@ -777,9 +772,7 @@ def _read_jsonl(path: Path) -> list[dict]:
         else:
             stop = text.find("\n", pos) + 1 or size  # past the newline, or the end
             line = text[pos:stop].strip()
-            if line and not (
-                is_classical_step(line) or is_bandit_step(line) or is_keymaze_step(line)
-            ):
+            if line and not any(is_step(line) for is_step in step_shapes):
                 records.append(_decode_line(path, text, pos, line))
             pos = stop
     return records
@@ -881,8 +874,9 @@ def report(input_dir, output_dir) -> list[Path]:
     config record's ``suite`` is not one of :data:`SUITES`, a config or
     metrics record lacks a field read here or holds one of the wrong type or
     out of range, a bandit run's ``pulls`` do not fit its ``(num_arms,
-    horizon)``, its arm-selection plot would pass :data:`MAX_PLOT_CELLS`, or
-    one bandit agent's runs differ in ``(num_arms, horizon)``.
+    horizon)``, its arm-selection plot would pass :data:`MAX_PLOT_CELLS`,
+    one bandit agent's runs differ in ``(num_arms, horizon)``, or
+    ``output_dir`` cannot be made a directory.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -928,7 +922,10 @@ def report(input_dir, output_dir) -> list[Path]:
             keymaze_metrics.setdefault(header["agent"], []).append(metrics)
 
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ReportError(f"cannot create output directory {out}: {exc}") from exc
     written: list[Path] = []
 
     if bandit_metrics:

@@ -1022,12 +1022,29 @@ class TestReport:
         assert not out.exists()
 
 
+# The classical step shape as it was built from the writer's template: the
+# first ``%s`` (arm) made ``null`` or a JSON integer, each ``%d`` a JSON integer
+# and the last ``%s`` ``true``/``false``.
+TEMPLATE_STEP_RE = re.compile(
+    re.escape(harness._BANDIT_STEP_LINE)
+    .replace("%s", f"(?:null|{harness._JSON_INT})", 1)
+    .replace("%d", harness._JSON_INT)
+    .replace("%s", "(?:true|false)")
+)
+
+
 class TestStepLineTemplate:
     """``report`` skips the lines ``_BANDIT_STEP_LINE`` writes by matching them
-    against its pattern; every other line is decoded and checked."""
+    against the classical shape, shape 0 of ``_step_line_patterns()``; every
+    other line is decoded and checked."""
+
+    CLASSICAL_RE = harness._step_line_patterns()[0]
+
+    def test_classical_shape_is_the_template_pattern(self):
+        assert self.CLASSICAL_RE.pattern == TEMPLATE_STEP_RE.pattern
 
     @settings(max_examples=300, deadline=None)
-    @given(st.from_regex(harness._BANDIT_STEP_RE, fullmatch=True))
+    @given(st.from_regex(TEMPLATE_STEP_RE, fullmatch=True))
     def test_every_matching_line_is_an_object_of_this_schema(self, line):
         record = json.loads(line)
         assert type(record) is dict
@@ -1042,7 +1059,7 @@ class TestStepLineTemplate:
         line = harness._BANDIT_STEP_LINE % (
             "null" if arm is None else arm, reward, run, step, "true" if valid else "false"
         )
-        assert harness._BANDIT_STEP_RE.fullmatch(line)
+        assert self.CLASSICAL_RE.fullmatch(line)
 
     STEP = harness._BANDIT_STEP_LINE % (1, 0, 0, 3, "true")
 
@@ -1108,8 +1125,8 @@ class TestStepLineTemplate:
         )
         path = runs / "greedy_run0000.jsonl"
         lines = path.read_text().splitlines()
-        assert harness._BANDIT_STEP_RE.fullmatch(lines[4])
-        assert not harness._BANDIT_STEP_RE.fullmatch(line)
+        assert TestStepLineTemplate.CLASSICAL_RE.fullmatch(lines[4])
+        assert not TestStepLineTemplate.CLASSICAL_RE.fullmatch(line)
         lines.insert(4, line)
         path.write_text("\n".join(lines) + "\n")
         return runs, path
@@ -1166,7 +1183,7 @@ class TestStepLineShapes:
     ``_step_line_from_record`` writes by matching them against their shapes;
     every other line is decoded and checked as before."""
 
-    BANDIT_RE, KEYMAZE_RE = harness._step_line_patterns()
+    _, BANDIT_RE, KEYMAZE_RE = harness._step_line_patterns()
 
     @pytest.mark.parametrize("pattern", [BANDIT_RE, KEYMAZE_RE], ids=["bandit", "keymaze"])
     @settings(max_examples=100, deadline=None)
@@ -1295,13 +1312,17 @@ class TestStepLineShapes:
 
     def test_patterns_are_compiled_by_report_not_by_run_suite(self, tmp_path):
         code = (
-            "import sys\n"
+            "import re, sys\n"
             "from dora import harness\n"
             "config = harness.ExperimentConfig.from_dict({'suite': 'bandit', 'agent': 'dora_scheduled',"
             " 'runs': 2, 'horizon': 20, 'n_candidates': 5, 'backend': 'mock:' + sys.argv[1],"
             " 'output_dir': sys.argv[2]})\n"
             "compiled = (harness._step_line_patterns, harness._step_run_patterns)\n"
+            "def module_patterns():\n"
+            "    return [k for k, v in vars(harness).items() if isinstance(v, re.Pattern)]\n"
+            "print(module_patterns())\n"
             "harness.run_suite(config)\n"
+            "print(module_patterns())\n"
             "print(*(f.cache_info().currsize for f in compiled))\n"
             "harness.report(sys.argv[2], sys.argv[3])\n"
             "print(*(f.cache_info().currsize for f in compiled))\n"
@@ -1313,7 +1334,7 @@ class TestStepLineShapes:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["0 0", "1 1"]
+        assert done.stdout.splitlines() == ["[]", "[]", "0 0", "1 1"]
 
 
 def read_jsonl_by_line(path: Path) -> list[dict]:
@@ -1330,8 +1351,9 @@ def read_jsonl_by_line(path: Path) -> list[dict]:
     except UnicodeDecodeError as exc:
         raise ReportError(f"{path}:{undecodable_line(path)}: not UTF-8: {exc}") from exc
     records = []
-    is_classical_step = harness._BANDIT_STEP_RE.fullmatch
-    is_bandit_step, is_keymaze_step = (p.fullmatch for p in harness._step_line_patterns())
+    is_classical_step, is_bandit_step, is_keymaze_step = (
+        p.fullmatch for p in harness._step_line_patterns()
+    )
     for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if not line or is_classical_step(line) or is_bandit_step(line) or is_keymaze_step(line):
@@ -1574,7 +1596,7 @@ class TestBranchFormShapes:
     """The step shapes written with ``(?:X|)`` take exactly the lines the
     shapes written with ``(?:X)?`` took, and a run match ends where it did."""
 
-    NEW_SHAPES = harness._step_line_patterns()
+    NEW_SHAPES = harness._step_line_patterns()[1:]
     NEW_RUNS = harness._step_run_patterns()[1:]
 
     @pytest.mark.parametrize("shape", [0, 1], ids=["bandit", "keymaze"])
@@ -1797,6 +1819,26 @@ class TestCli:
         code = main(["report", "--in", str(out), "--out", str(tmp_path / "tables")])
         assert code == 0
         assert (tmp_path / "tables" / "metric_table.csv").exists()
+
+    def test_report_out_that_is_a_file_is_report_error(self, tmp_path, capsys):
+        runs, out = tmp_path / "runs", tmp_path / "tables"
+        main(["bandit", "run", "--agent", "greedy", "--runs", "2", "--out", str(runs)])
+        out.write_text("kept")
+        capsys.readouterr()
+        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"report error: cannot create output directory {out}: ")
+        assert out.read_text() == "kept"
+
+    def test_run_out_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        out.write_text("kept")
+        assert main(["bandit", "run", "--agent", "ucb", "--runs", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot create output directory {out}: ")
+        assert out.read_text() == "kept"
 
     def test_report_empty_dir_is_error(self, tmp_path):
         empty = tmp_path / "none"
