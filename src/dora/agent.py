@@ -39,8 +39,10 @@ from .textenv import EnvError
 HistoryTriple = tuple[str, str, float]
 ContextBuilder = Callable[[Sequence[HistoryTriple], str, "DoraParams"], list[dict]]
 
-# A policy-sampled lambda reply that does not parse is asked for once more.
+# A policy-sampled lambda reply that does not parse is asked for once more;
+# each request is sampled at TAU_LAMBDA.
 LAMBDA_RETRIES = 1
+TAU_LAMBDA = 0.2
 # The context holds the last HISTORY_WINDOW (observation, action) turns.
 HISTORY_WINDOW = 20
 # The action a step records when the backend failed.
@@ -55,13 +57,10 @@ class FallbackReason(Enum):
 
 @dataclass(frozen=True)
 class DoraParams:
-    """Hyperparameters of one agent: candidate count, temperatures, scoring weight."""
+    """Hyperparameters of one agent: candidate count, scoring weight, greedy prompt."""
 
     n_candidates: int = 20
     alpha: float = 0.8
-    tau_decision: float = 0.2
-    tau_candidates: float = 0.7
-    tau_lambda: float = 0.2
     greedy_kind: PromptKind = PromptKind.GREEDY_ACTION
     system_prompt: str | None = None
 
@@ -85,6 +84,7 @@ class StepRecord:
     candidates: list[ScoredCandidate] | None = None
     fallback_reason: FallbackReason | None = None
     error: str | None = None  # a BACKEND_ERROR step's message; no artifact line writes it
+    unreachable: bool = False  # the BACKEND_ERROR reached no endpoint
 
 
 class UsedActionRegistry:
@@ -133,7 +133,6 @@ def _resolve_lambda(
     backend: PolicyBackend,
     context: list[dict],
     lambda_source: LambdaSource,
-    params: DoraParams,
     step: int,
 ) -> tuple[float, bool]:
     """Return (lambda, parse_failed). Scheduled sources never fail."""
@@ -143,7 +142,7 @@ def _resolve_lambda(
         return lambda_exp(sched, t), False
     lo, hi = lambda_source.bounds
     messages = (*context, {"role": "user", "content": prompts.lambda_decision(lo, hi)})
-    request = PolicyRequest(messages, params.tau_lambda, PromptKind.LAMBDA_DECISION)
+    request = PolicyRequest(messages, TAU_LAMBDA, PromptKind.LAMBDA_DECISION)
     for _ in range(LAMBDA_RETRIES + 1):
         value = extract_lambda(backend.complete(request).text)
         if value is not None:
@@ -177,16 +176,12 @@ def dora_step(
 
     record = StepRecord(step, observation, Mode.GREEDY, INVALID_ACTION)
     try:
-        record.mode = decide_mode(backend, context, params.tau_decision)
+        record.mode = decide_mode(backend, context)
         if record.mode is Mode.EXPLORE:
-            record.lam, parse_failed = _resolve_lambda(
-                backend, context, lambda_source, params, step
-            )
+            record.lam, parse_failed = _resolve_lambda(backend, context, lambda_source, step)
             if parse_failed:
                 record.fallback_reason = FallbackReason.PARSE_FAILURE
-            candidates = generate_candidates(
-                backend, context, params.n_candidates, params.tau_candidates
-            )
+            candidates = generate_candidates(backend, context, params.n_candidates)
             used = registry.used(observation)
             fresh = [c for c in candidates if c.text not in used]
             record.candidates = []
@@ -195,8 +190,7 @@ def dora_step(
                 dist = lambda_probabilities(scores, record.lam)
                 record.chosen_action = fresh[sample_categorical(dist, rng)].text
                 record.candidates = [
-                    ScoredCandidate(c.text, s, p)
-                    for c, s, p in zip(fresh, dist.scores.tolist(), dist.probs.tolist())
+                    ScoredCandidate(c.text, s, p) for c, s, p in zip(fresh, dist.scores, dist.probs)
                 ]
             else:
                 record.fallback_reason = FallbackReason.EMPTY_CANDIDATES
@@ -207,6 +201,7 @@ def dora_step(
         record.candidates = None
         record.fallback_reason = FallbackReason.BACKEND_ERROR
         record.error = str(exc)
+        record.unreachable = exc.unreachable
         return record
 
     registry.add(observation, record.chosen_action)
@@ -246,7 +241,9 @@ def drive_episode(
     The environment contract is ``reset(seed) -> observation`` and
     ``step(action) -> TextEnvStep``. Environment errors abort the episode
     with the log flagged as partial. An episode whose every step fell back on
-    a backend error raises :class:`BackendError`. ``backend`` gives the token count.
+    a backend error raises :class:`BackendError`, and so does one whose
+    endpoint is unreachable before any step succeeded, at that step.
+    ``backend`` gives the token count.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
@@ -256,9 +253,14 @@ def drive_episode(
     log = EpisodeLog(observations=[observation])
     tokens_before = backend.tokens_used
 
+    succeeded = False  # whether any step got past the backend
     for t in range(max_steps):
         record = step(history, observation, t)
         log.steps.append(record)
+        if record.fallback_reason is not FallbackReason.BACKEND_ERROR:
+            succeeded = True
+        elif record.unreachable and not succeeded:
+            break  # the endpoint is down; every later step would wait out its retries too
         try:
             result = env.step(record.chosen_action)
         except EnvError:
@@ -273,7 +275,7 @@ def drive_episode(
             log.terminal = True
             break
 
-    if all(record.fallback_reason is FallbackReason.BACKEND_ERROR for record in log.steps):
+    if not succeeded:
         raise BackendError(f"backend failed on all {log.num_steps} steps: {log.steps[-1].error}")
     log.token_count = backend.tokens_used - tokens_before
     return log
@@ -328,6 +330,7 @@ def temperature_step(
         except BackendError as exc:
             record.fallback_reason = FallbackReason.BACKEND_ERROR
             record.error = str(exc)
+            record.unreachable = exc.unreachable
         else:
             record.chosen_action = parse_action(reply.text)
         return record

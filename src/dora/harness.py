@@ -114,9 +114,6 @@ _FIELD_RULES = (
     ("horizon", (int,), lambda v: v >= 1, "an integer >= 1"),
     ("n_candidates", (int,), lambda v: v >= 1, "an integer >= 1"),
     ("alpha", _NUMBER, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-    ("tau_decision", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
-    ("tau_candidates", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
-    ("tau_lambda", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
     ("lambda_min", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
     ("lambda_max", _NUMBER, _finite_nonnegative, "a finite number >= 0"),
     ("growth_k", _NUMBER, lambda v: 0 < v <= MAX_GROWTH_K, f"a number in (0, {MAX_GROWTH_K!r}]"),
@@ -147,9 +144,6 @@ class ExperimentConfig:
     # explore/greedy agent
     n_candidates: int = 20
     alpha: float = 0.8
-    tau_decision: float = 0.2
-    tau_candidates: float = 0.7
-    tau_lambda: float = 0.2
     lambda_min: float = 0.0
     lambda_max: float = 40.0
     growth_k: float = 5.0
@@ -233,14 +227,7 @@ class ExperimentConfig:
         return lambda: parsed().fresh()
 
     def dora_params(self, greedy_kind: PromptKind) -> DoraParams:
-        return DoraParams(
-            n_candidates=self.n_candidates,
-            alpha=self.alpha,
-            tau_decision=self.tau_decision,
-            tau_candidates=self.tau_candidates,
-            tau_lambda=self.tau_lambda,
-            greedy_kind=greedy_kind,
-        )
+        return DoraParams(n_candidates=self.n_candidates, alpha=self.alpha, greedy_kind=greedy_kind)
 
     def temperature_schedule(self, horizon: int) -> Callable[[int], float]:
         """The temperature baseline's tau(t): constant, or decaying to 0 over ``horizon``."""
@@ -876,7 +863,8 @@ def report(input_dir, output_dir) -> list[Path]:
     out of range, a bandit run's ``pulls`` do not fit its ``(num_arms,
     horizon)``, its arm-selection plot would pass :data:`MAX_PLOT_CELLS`,
     one bandit agent's runs differ in ``(num_arms, horizon)``, or
-    ``output_dir`` cannot be made a directory.
+    ``output_dir`` cannot be made a directory; and, naming the file, when a
+    table or plot cannot be written.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -926,8 +914,14 @@ def report(input_dir, output_dir) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ReportError(f"cannot create output directory {out}: {exc}") from exc
-    written: list[Path] = []
+    try:
+        return _write_report(out, bandit_metrics, bandit_shape, keymaze_metrics)
+    except OSError as exc:
+        raise ReportError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
 
+
+def _write_report(out: Path, bandit_metrics, bandit_shape, keymaze_metrics) -> list[Path]:
+    written: list[Path] = []
     if bandit_metrics:
         rows = [
             _bandit_aggregate_rows(agent, bandit_metrics[agent]) for agent in sorted(bandit_metrics)

@@ -37,7 +37,12 @@ from .scoring import CandidateAction
 
 
 class BackendError(Exception):
-    """Transport or protocol failure talking to the policy backend."""
+    """Transport or protocol failure talking to the policy backend; ``unreachable``
+    when no attempt reached the endpoint."""
+
+    def __init__(self, message: str, unreachable: bool = False) -> None:
+        super().__init__(message)
+        self.unreachable = unreachable
 
 
 class MockScriptError(RuntimeError):
@@ -470,7 +475,8 @@ class RemotePolicy(PolicyBackend):
     Transport failures, 5xx replies and 429 (rate limited) replies are
     retried :data:`MAX_RETRIES` times with exponential backoff, or after the
     ``Retry-After`` seconds of a 429 or 503, then surfaced as
-    :class:`BackendError`.
+    :class:`BackendError`, marked unreachable when every attempt failed to
+    connect or timed out.
     """
 
     def __init__(
@@ -497,6 +503,7 @@ class RemotePolicy(PolicyBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
+        unreachable = True
         for attempt in range(MAX_RETRIES + 1):
             wait = BACKOFF_S * (2**attempt)
             try:
@@ -512,9 +519,12 @@ class RemotePolicy(PolicyBackend):
                 raise
             except (requests.RequestException, ValueError, RecursionError) as exc:
                 last_error = exc
+                unreachable &= isinstance(exc, (requests.ConnectionError, requests.Timeout))
                 if attempt < MAX_RETRIES:
                     time.sleep(wait)
-        raise BackendError(f"transport failed after {MAX_RETRIES + 1} attempts: {last_error}")
+        raise BackendError(
+            f"transport failed after {MAX_RETRIES + 1} attempts: {last_error}", unreachable
+        )
 
     def complete(self, request: PolicyRequest) -> PolicyReply:
         payload = {

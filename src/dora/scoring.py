@@ -65,18 +65,21 @@ class ScoreParams:
 class LambdaDistribution:
     """Scores, the lambda used, and the resulting categorical probabilities."""
 
-    scores: np.ndarray
+    scores: list[float]
     lam: float
-    probs: np.ndarray
+    probs: list[float]
 
     def __post_init__(self) -> None:
-        self.scores = np.asarray(self.scores, dtype=float)
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.scores.shape != self.probs.shape or self.scores.ndim != 1 or len(self.scores) < 1:
+        try:
+            self.scores = list(map(float, self.scores))
+            self.probs = list(map(float, self.probs))
+        except TypeError:  # a scalar, or a vector of vectors
+            self.scores = self.probs = []
+        if len(self.scores) != len(self.probs) or len(self.scores) < 1:
             raise ValueError("scores and probs must be 1-d vectors of equal length >= 1")
-        if self.probs.min() < 0.0:
+        if min(self.probs) < 0.0:
             raise ValueError("probabilities must be non-negative")
-        if not abs(float(self.probs.sum()) - 1.0) <= PROB_SUM_TOL:  # NaN fails too
+        if not abs(sum(self.probs) - 1.0) <= PROB_SUM_TOL:  # NaN fails too
             raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_TOL}")
 
 
@@ -107,7 +110,7 @@ def _minmax(values: Sequence[float]) -> list[float]:
     return [(x - lo) / span for x in values]
 
 
-def score_candidates(candidates, params: ScoreParams | None = None) -> np.ndarray:
+def score_candidates(candidates, params: ScoreParams | None = None) -> list[float]:
     """Score each candidate as alpha * norm_mean - (1 - alpha) * norm_variance.
 
     Means and variances are min-max normalized across the given candidate
@@ -124,7 +127,7 @@ def score_candidates(candidates, params: ScoreParams | None = None) -> np.ndarra
     norm_vars = _minmax(variances)
     alpha = params.alpha
     beta = 1.0 - alpha
-    return np.array([alpha * m - beta * v for m, v in zip(norm_means, norm_vars)])
+    return [alpha * m - beta * v for m, v in zip(norm_means, norm_vars)]
 
 
 def lambda_probabilities(scores, lam: float) -> LambdaDistribution:
@@ -133,10 +136,12 @@ def lambda_probabilities(scores, lam: float) -> LambdaDistribution:
     lambda = 0 yields the exact uniform distribution; lambda must be >= 0
     (negative, anti-greedy sharpening is rejected).
     """
-    arr = np.asarray(scores, dtype=float)
-    if arr.ndim != 1 or len(arr) == 0:
+    try:
+        values = list(map(float, scores))
+    except TypeError:  # a scalar, or a vector of vectors
+        values = []
+    if not values:
         raise ValueError("scores must be a non-empty 1-d vector")
-    values = arr.tolist()
     if not all(map(math.isfinite, values)):
         raise ValueError("scores must be finite")
     lam = float(lam)
@@ -147,10 +152,12 @@ def lambda_probabilities(scores, lam: float) -> LambdaDistribution:
     # The exponentials and their sum stay in numpy, because they decide the
     # bytes: numpy's SIMD exp differs from math.exp in the last bit on about
     # 5% of inputs in [-48, 0] on AVX-512 builds, and ndarray.sum adds
-    # pairwise from 8 elements on, which a sequential sum does not match.
-    weights = np.exp(np.array([z - top for z in logits]))
-    probs = weights / weights.sum()
-    return LambdaDistribution(scores=arr, lam=lam, probs=probs)
+    # pairwise from 8 elements on, which a sequential sum does not match. The
+    # division rounds the same on floats as on the array.
+    weights = np.array([z - top for z in logits])
+    np.exp(weights, out=weights)
+    total = float(weights.sum())
+    return LambdaDistribution(values, lam, [w / total for w in weights.tolist()])
 
 
 def sample_categorical(dist: LambdaDistribution, rng: np.random.Generator) -> int:
@@ -159,6 +166,6 @@ def sample_categorical(dist: LambdaDistribution, rng: np.random.Generator) -> in
     The running sum adds left to right, as ``np.cumsum`` does, and the search
     takes the first index whose cumulative mass exceeds the uniform draw.
     """
-    cdf = list(accumulate(dist.probs.tolist()))
+    cdf = list(accumulate(dist.probs))
     idx = bisect_right(cdf, rng.random())
     return min(idx, len(cdf) - 1)

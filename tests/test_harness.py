@@ -10,6 +10,7 @@ import select
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -1840,6 +1841,16 @@ class TestCli:
         assert captured.err.startswith(f"config error: cannot create output directory {out}: ")
         assert out.read_text() == "kept"
 
+    def test_table_that_cannot_be_written_is_report_error(self, tmp_path, capsys):
+        runs, out = tmp_path / "runs", tmp_path / "tables"
+        main(["bandit", "run", "--agent", "greedy", "--runs", "2", "--out", str(runs)])
+        (out / "metric_table.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"report error: cannot write {out / 'metric_table.csv'}: ")
+
     def test_report_empty_dir_is_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -1927,6 +1938,7 @@ class TestCli:
             {"lambda_max": float("inf")},
             {"alpha": 2.0},
             {"tau_lambda": -0.5},
+            {"tau_decision": 0.2},
             {"growth_k": 0},
             {"growth_k": 800},
             {"agent": "llm_temp", "num_arms": 6},
@@ -1996,4 +2008,68 @@ class TestCli:
         assert not list(out.glob("*.jsonl"))
         [failure] = json.loads((out / "summary.json").read_text())["failures"]
         assert failure["kind"] == "backend"
-        assert "backend failed on all 3 steps: transport failed" in failure["error"]
+        assert "backend failed on all 1 steps: transport failed" in failure["error"]
+
+    @pytest.mark.parametrize("agent", ["dora_auto", "llm_temp"])
+    def test_unreachable_endpoint_fails_a_run_at_its_first_step(self, tmp_path, agent):
+        # With the real backoff sleeps, each step that walks its retries waits
+        # 1.5 s: a run that walked all 200 steps would take about 300 s.
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"agent": agent, "runs": 1, "horizon": 200, "workers": 1, "output_dir": str(out)}
+            )
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(SRC),
+            "DORA_API_BASE": "http://127.0.0.1:9",
+            "DORA_MODEL": "test-model",
+        }
+        command = ["bandit", "run", "--config", str(cfg), "--backend", "remote"]
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "dora.cli", *command],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert done.returncode == 2, done.stderr
+        assert time.monotonic() - start < 10
+        [failure] = json.loads((out / "summary.json").read_text())["failures"]
+        assert failure["error"].startswith("backend failed on all 1 steps: transport failed")
+
+    def test_refused_step_after_a_success_is_one_backend_error_step(self, tmp_path, monkeypatch):
+        # Every attempt of the second step is refused; the other steps are answered.
+        import requests
+
+        from dora import policy
+
+        refused = range(2, 3 + policy.MAX_RETRIES)  # 1-based numbers of the refused calls
+        calls = []
+
+        class Reply:
+            status_code = 200
+            headers: dict = {}
+
+            def json(self):
+                return {"choices": [{"message": {"content": "go east"}}]}
+
+        def post(url, **kwargs):
+            calls.append(url)
+            if len(calls) in refused:
+                raise requests.ConnectionError("connection refused")
+            return Reply()
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(policy.time, "sleep", lambda seconds: None)
+        monkeypatch.setenv("DORA_API_BASE", "http://127.0.0.1:9")
+        monkeypatch.setenv("DORA_MODEL", "test-model")
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        config = {"agent": "llm_temp", "runs": 1, "max_steps": 4, "workers": 1}
+        cfg.write_text(json.dumps(dict(config, output_dir=str(out))))
+        assert main(["keymaze", "run", "--config", str(cfg), "--backend", "remote"]) == 0
+        [path] = out.glob("*.jsonl")
+        steps = [r for r in map(json.loads, path.read_text().splitlines()) if r["kind"] == "step"]
+        assert [r["fallback"] for r in steps] == [None, "backend_error", None, None]
+        assert len(calls) == 3 + len(refused)

@@ -382,15 +382,25 @@ class FakeResponse:
         return self.body
 
 
+def not_json_response() -> requests.Response:
+    response = requests.Response()
+    response.status_code, response._content = 200, b"not json"
+    return response
+
+
 @pytest.fixture
 def endpoint(monkeypatch):
     """Stub ``requests.post`` and the backoff sleep: returns the queue of
-    responses to serve, the list of calls made, and the list of sleeps."""
+    responses to serve (an exception in it is raised), the list of calls
+    made, and the list of sleeps."""
     responses, calls, sleeps = [], [], []
 
     def post(url, json, headers, timeout):
         calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        return responses.pop(0)
+        response = responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
     monkeypatch.setattr(requests, "post", post)
     monkeypatch.setattr(policy.time, "sleep", sleeps.append)
@@ -462,6 +472,28 @@ class TestRemotePolicy:
             responses.append(response)
         with pytest.raises(BackendError, match="transport failed after 3 attempts: .*recursion"):
             RemotePolicy(base_url="http://localhost:1", model="m").complete(PolicyRequest(CTX, 0.0))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "replies,unreachable",
+        [
+            ([requests.ConnectionError("refused")] * 3, True),
+            ([requests.ConnectTimeout(), requests.ReadTimeout(), requests.ConnectionError()], True),
+            ([requests.ConnectionError(), FakeResponse(503), requests.ConnectionError()], False),
+            ([FakeResponse(500)] * 3, False),
+            ([FakeResponse(429)] * 3, False),
+            ([not_json_response() for _ in range(3)], False),
+        ],
+        ids=["refused", "timeouts", "one-503", "500", "429", "bad-body"],
+    )
+    def test_unreachable_when_no_attempt_reached_the_endpoint(
+        self, endpoint, replies, unreachable
+    ):
+        responses, calls, _ = endpoint
+        responses += replies
+        with pytest.raises(BackendError, match="after 3 attempts") as caught:
+            RemotePolicy(base_url="http://localhost:1", model="m").complete(PolicyRequest(CTX, 0.0))
+        assert caught.value.unreachable is unreachable
         assert len(calls) == 3
 
     def test_client_error_is_not_retried(self, endpoint):

@@ -59,6 +59,11 @@ def oracle_softmax(scores, lam):
     return [w / total for w in weights]
 
 
+# Scores of the wrong shape: a scalar, a nested list and a 2-d array. Each
+# row has two elements, so no numpy version converts one to a float.
+NOT_VECTORS = [0.5, [[0.5, 0.5], [0.5, 0.5]], np.full((2, 2), 0.5)]
+
+
 def cand(*logprobs, text="a"):
     return CandidateAction(text, tuple(logprobs))
 
@@ -165,6 +170,10 @@ class TestScoreCandidates:
         with pytest.raises(ValueError):
             score_candidates([], ScoreParams())
 
+    def test_returns_python_floats(self):
+        out = score_candidates([cand(-0.1), cand(-4.0)], ScoreParams(alpha=0.8))
+        assert type(out) is list and all(type(x) is float for x in out)
+
     def test_score_bounds(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -173,7 +182,7 @@ class TestScoreCandidates:
                 cand(*rng.uniform(-5, 0, size=rng.integers(1, 20)))
                 for _ in range(rng.integers(1, 10))
             ]
-            out = score_candidates(cands, ScoreParams(alpha=alpha))
+            out = np.array(score_candidates(cands, ScoreParams(alpha=alpha)))
             assert np.all(out >= -(1 - alpha) - 1e-12)
             assert np.all(out <= alpha + 1e-12)
 
@@ -213,14 +222,25 @@ class TestLambdaProbabilities:
         with pytest.raises(ValueError):
             lambda_probabilities([0.1, float("nan")], 1.0)
 
+    @pytest.mark.parametrize("scores", NOT_VECTORS, ids=repr)
+    def test_rejects_scores_that_are_not_a_vector(self, scores):
+        with pytest.raises(ValueError, match="scores must be a non-empty 1-d vector"):
+            lambda_probabilities(scores, 1.0)
+
+    def test_holds_python_floats(self):
+        dist = lambda_probabilities(np.array([0.3, -0.0, 1]), 2.0)
+        for values in (dist.scores, dist.probs):
+            assert type(values) is list and all(type(x) is float for x in values)
+        assert math.copysign(1.0, dist.scores[1]) == -1.0
+
     def test_normalization_over_random_inputs(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
             scores = rng.uniform(-1, 1, size=rng.integers(1, 25))
             lam = float(rng.uniform(0, 50))
-            dist = lambda_probabilities(scores, lam)
-            assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
-            assert np.all(dist.probs >= 0.0)
+            probs = np.array(lambda_probabilities(scores, lam).probs)
+            assert abs(float(probs.sum()) - 1.0) <= 1e-9
+            assert np.all(probs >= 0.0)
 
     def test_argmax_preserved_for_positive_lambda(self):
         rng = np.random.default_rng(5)
@@ -245,8 +265,8 @@ class TestLambdaProbabilities:
         dist = lambda_probabilities(scores, 3.0)
         perm = rng.permutation(7)
         permuted = lambda_probabilities(scores[perm], 3.0)
-        assert np.allclose(permuted.probs, dist.probs[perm], atol=1e-15)
-        assert np.allclose(permuted.scores, dist.scores[perm], atol=0)
+        assert np.allclose(permuted.probs, np.array(dist.probs)[perm], atol=1e-15)
+        assert np.allclose(permuted.scores, np.array(dist.scores)[perm], atol=0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(17)
@@ -305,6 +325,14 @@ class TestLambdaDistributionInvariants:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LambdaDistribution(np.array([0.1]), 1.0, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("vectors", NOT_VECTORS, ids=repr)
+    def test_rejects_scores_or_probs_that_are_not_a_vector(self, vectors):
+        message = "scores and probs must be 1-d vectors of equal length >= 1"
+        with pytest.raises(ValueError, match=message):
+            LambdaDistribution(vectors, 1.0, [0.5, 0.5])
+        with pytest.raises(ValueError, match=message):
+            LambdaDistribution([0.1, 0.2], 1.0, vectors)
 
 
 class TestOracleEquivalence:
