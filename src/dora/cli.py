@@ -6,7 +6,8 @@ Subcommands::
     dora-lab keymaze run --config cfg.json [--backend mock:script.json]
     dora-lab report --in runs/ --out tables/
 
-Exit codes: 0 success, 1 config error, 2 backend error, 3 partial batch.
+Exit codes: 0 success, 1 config or report error or an artifact that cannot be
+written, 2 backend error, 3 partial batch.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ def _run_command(args: argparse.Namespace, suite: str) -> int:
         config = ExperimentConfig.from_file(args.config, overrides)
     else:
         config = ExperimentConfig.from_dict({}, overrides)
-    artifacts = run_suite(config)
+    try:
+        artifacts = run_suite(config)
+    except OSError as exc:  # an artifact that cannot be written
+        print(f"cannot write {exc.filename or config.output_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     completed = len(artifacts.metrics)
     print(f"{suite}/{config.agent}: {completed}/{config.runs} runs -> {artifacts.output_dir}")
     if artifacts.failures:

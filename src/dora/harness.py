@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -493,6 +492,8 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     if workers == 1:
         results = [one(i) for i in range(config.runs)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so importing harness skips it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(config.runs)))
 
@@ -682,7 +683,7 @@ def _step_line_patterns():
         {"action": _JSON_STRING, "prob": _JSON_NUMBER, "score": _JSON_NUMBER}
     )
     record = {
-        "candidates": rf"\[(?:{candidate}(?:,{candidate})*|)\]",
+        "candidates": rf"\[(?:{candidate}(?:,{candidate})*+|)\]",
         "chosen_action": _JSON_STRING,
         "fallback": _one_of(["null", *(f'"{reason.value}"' for reason in FallbackReason)]),
         "lambda": _JSON_NUMBER,
@@ -699,30 +700,19 @@ def _step_line_patterns():
     )
 
 
-# The most step lines one run-pattern match takes: classical, then bandit DORA
-# and KeyMaze. The regex engine keeps the backtracking state of every line of a
-# match until the match ends: about 0.7 KB per classical line, 6 KB per bandit
-# DORA line with 5 candidates and 9 KB per KeyMaze line with 8. These bounds
-# keep it under 100 KB, which malloc serves from its heap. At 64 DORA lines
-# (about 600 KB, past glibc's default 128 KiB mmap threshold) most processes
-# took about 5900 page faults per bandit-dora report() call, and up to twice
-# the time.
-_STEP_RUN_LINES = (64, 8, 8)
-
-
 @functools.cache
-def _step_run_patterns():
-    """The patterns of a run of step lines of one shape (classical, bandit
-    DORA, KeyMaze), each line written as is and ended by a newline, at most
-    ``_STEP_RUN_LINES`` lines.
+def _step_run_pattern():
+    """The pattern of a run of step lines of any shapes, each line written as
+    is and ended by a newline.
 
-    Compiled when ``report`` first reads a file, as :func:`_step_line_patterns` is.
-    No step shape matches a newline, so a run ends on a line boundary.
+    The run repeat is possessive, so the engine drops a line's backtracking
+    state once it has taken that line, and one match takes a run of any
+    length. Compiled when ``report`` first reads a file, as
+    :func:`_step_line_patterns` is. No step shape matches a newline, so a run
+    ends on a line boundary.
     """
-    return tuple(
-        re.compile(rf"(?:{shape.pattern}\n){{1,{lines}}}")
-        for shape, lines in zip(_step_line_patterns(), _STEP_RUN_LINES)
-    )
+    shapes = "|".join(shape.pattern for shape in _step_line_patterns())
+    return re.compile(rf"(?:(?:{shapes})\n)++")
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -731,11 +721,11 @@ def _read_jsonl(path: Path) -> list[dict]:
 
     The file is read as bytes and decoded once. CRLF and then CR become LF
     when the text holds a CR, so its lines are those of ``readlines()`` with
-    universal newlines. At each line start, each step-run pattern is tried in
-    turn, and a match skips up to ``_STEP_RUN_LINES`` step lines of its shape
-    at once. Any other line is stripped of surrounding whitespace, skipped if
-    it is blank or fully matches a step shape, and otherwise decoded and
-    checked. Line numbers are counted only for the line that fails.
+    universal newlines. At each line start, one step-run match skips every
+    step line up to the next other line. Any other line is stripped of
+    surrounding whitespace, skipped if it is blank or fully matches a step
+    shape, and otherwise decoded and checked. Line numbers are counted only
+    for the line that fails.
     """
     try:
         data = path.read_bytes()
@@ -747,15 +737,13 @@ def _read_jsonl(path: Path) -> list[dict]:
         before = _newlines_to_lf(data[: exc.start].decode("utf-8"))
         raise ReportError(f"{_where(path, before, len(before))}: not UTF-8: {exc}") from exc
     records = []
-    step_runs = [pattern.match for pattern in _step_run_patterns()]
+    step_run = _step_run_pattern().match
     step_shapes = [pattern.fullmatch for pattern in _step_line_patterns()]
     pos, size = 0, len(text)
     while pos < size:
-        for step_run in step_runs:
-            run = step_run(text, pos)
-            if run:
-                pos = run.end()
-                break
+        run = step_run(text, pos)
+        if run:
+            pos = run.end()
         else:
             stop = text.find("\n", pos) + 1 or size  # past the newline, or the end
             line = text[pos:stop].strip()

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -45,9 +46,6 @@ BANDIT_ACTIONS = "press blue button\npress green button\npress red button\npress
 LONG_INT = "1" + "0" * 5000
 # An integer JSON decodes, but no float holds.
 HUGE = 10**400
-needs_int_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
-)
 
 
 def run_files(artifacts) -> list[Path]:
@@ -152,7 +150,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"runs": 0})
 
-    @needs_int_limit
     def test_integer_too_long_to_convert_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"agent": "ucb", "runs": %s}' % LONG_INT)
@@ -378,7 +375,7 @@ class TestWorkerDefault:
         def no_pool(*args, **kwargs):
             raise AssertionError("a GIL-bound suite must not start a thread pool")
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
 
     def test_classical_suite_runs_serially(self, tmp_path, monkeypatch):
         self.forbid_pool(monkeypatch)
@@ -402,7 +399,7 @@ class TestWorkerDefault:
             pools.append(max_workers)
             raise Started  # stop before any run reaches the endpoint
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", record_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", record_pool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)  # a pool even on one CPU
         config = self.config(tmp_path, "remote", agent="dora_scheduled", backend="remote", runs=2)
         with pytest.raises(Started):
@@ -417,6 +414,15 @@ class TestWorkerDefault:
             run_suite(serial)
             run_suite(pooled)
             assert tree_bytes(Path(serial.output_dir)) == tree_bytes(Path(pooled.output_dir))
+
+    def test_import_does_not_load_the_thread_pool(self):
+        code = "import sys\nimport dora.harness\nprint('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 HI = ({"role": "user", "content": "hi"},)
@@ -1091,8 +1097,7 @@ class TestStepLineTemplate:
             pytest.param(STEP.replace('"reward":0', '"reward":01'), id="leading-zero"),
             pytest.param(STEP + "x", id="trailing-bytes"),
             pytest.param(STEP + STEP, id="two-lines-in-one"),
-            pytest.param(STEP.replace('"step":3', f'"step":{LONG_INT}'), id="5000-digits",
-                         marks=needs_int_limit),
+            pytest.param(STEP.replace('"step":3', f'"step":{LONG_INT}'), id="5000-digits"),
         ],
     )
     def test_close_line_that_is_not_json_is_a_report_error(self, tmp_path, line):
@@ -1261,11 +1266,11 @@ class TestStepLineShapes:
             ),
             pytest.param(
                 lambda s: re.sub('"reward":[^,]*', f'"reward":{LONG_INT}', s), "json",
-                id="5000-digit-reward", marks=needs_int_limit,
+                id="5000-digit-reward",
             ),
             pytest.param(
                 lambda s: s.replace('"step":3', f'"step":{LONG_INT}'), "json",
-                id="5000-digit-step", marks=needs_int_limit,
+                id="5000-digit-step",
             ),
         ],
     )
@@ -1318,7 +1323,7 @@ class TestStepLineShapes:
             "config = harness.ExperimentConfig.from_dict({'suite': 'bandit', 'agent': 'dora_scheduled',"
             " 'runs': 2, 'horizon': 20, 'n_candidates': 5, 'backend': 'mock:' + sys.argv[1],"
             " 'output_dir': sys.argv[2]})\n"
-            "compiled = (harness._step_line_patterns, harness._step_run_patterns)\n"
+            "compiled = (harness._step_line_patterns, harness._step_run_pattern)\n"
             "def module_patterns():\n"
             "    return [k for k, v in vars(harness).items() if isinstance(v, re.Pattern)]\n"
             "print(module_patterns())\n"
@@ -1485,8 +1490,8 @@ def read_outcome(read, path: Path):
 
 
 class TestStepRunScan:
-    """``_read_jsonl`` skips a bounded run of step lines of one shape with one
-    pattern match, and reads every file as the per-line reader does."""
+    """``_read_jsonl`` skips a run of step lines of any length and shapes with
+    one pattern match, and reads every file as the per-line reader does."""
 
     @settings(
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -1497,16 +1502,42 @@ class TestStepRunScan:
         path.write_bytes(data)
         assert read_outcome(harness._read_jsonl, path) == read_outcome(read_jsonl_by_line, path)
 
-    def test_a_match_takes_a_bounded_run_and_the_scan_goes_on(self, tmp_path):
-        step, limit = classical_step_line(1, 0, 0, 3), harness._STEP_RUN_LINES[0]
-        text = f"{step}\n" * (3 * limit)
-        assert harness._step_run_patterns()[0].match(text).group().count("\n") == limit
+    def test_a_match_takes_the_whole_run_and_the_scan_goes_on(self, tmp_path):
+        step, lines = classical_step_line(1, 0, 0, 3), 200
+        text = f"{step}\n" * lines
+        assert harness._step_run_pattern().match(text).group().count("\n") == lines
         path = tmp_path / "run.jsonl"
-        bad = 2 * limit + 6
-        path.write_text(f"{step}\n" * (bad - 1) + "x\n" + f"{step}\n" * limit)
+        bad = lines - 60
+        path.write_text(f"{step}\n" * (bad - 1) + "x\n" + f"{step}\n" * 64)
         with pytest.raises(ReportError, match=f"run.jsonl:{bad}: not valid JSON"):
             harness._read_jsonl(path)
         assert read_outcome(harness._read_jsonl, path) == read_outcome(read_jsonl_by_line, path)
+
+    def test_one_match_takes_3000_lines_of_every_shape_in_under_64_kb(self):
+        candidates = [ScoredCandidate(f"press {color} button", -0.25 * i, 0.2)
+                      for i, color in enumerate(["blue", "green", "red", "yellow", "purple"])]
+        records = [
+            StepRecord(step, "hall", Mode.EXPLORE, "press red button", lam=1.5 + step / 7,
+                       candidates=candidates)
+            for step in range(1000)
+        ]
+        # 1,000 bandit DORA, then 1,000 KeyMaze, then 1,000 classical lines.
+        text = "".join(
+            [harness._step_line_from_record(r, 4, arm=2, reward=r.step % 2, valid=True) + "\n"
+             for r in records]
+            + [harness._step_line_from_record(r, 4, observation="You are in the hall.",
+                                              reward=0.5) + "\n" for r in records]
+            + [classical_step_line(r.step % 5, r.step % 2, 4, r.step) + "\n" for r in records]
+        )
+        pattern = harness._step_run_pattern()
+        tracemalloc.start()
+        try:
+            match = pattern.match(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert match.end() == len(text)
+        assert peak < 64 * 1024
 
     def test_bad_byte_past_the_first_chunk_names_its_file_position(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -1562,7 +1593,7 @@ def old_step_line_shapes() -> tuple[str, str]:
 OLD_SHAPES = [re.compile(shape) for shape in old_step_line_shapes()]
 OLD_RUNS = [
     re.compile(rf"(?:{shape}\n){{1,{lines}}}")
-    for shape, lines in zip(old_step_line_shapes(), harness._STEP_RUN_LINES[1:])
+    for shape, lines in zip(old_step_line_shapes(), (8, 8))
 ]
 # Characters the shapes turn on, for edits that take a line near its shape.
 SHAPE_CHARACTERS = '"\\{}[],:.-+eE0123456789ntrufalsbx/ \x01\x1f\u00e9'
@@ -1598,7 +1629,7 @@ class TestBranchFormShapes:
     shapes written with ``(?:X)?`` took, and a run match ends where it did."""
 
     NEW_SHAPES = harness._step_line_patterns()[1:]
-    NEW_RUNS = harness._step_run_patterns()[1:]
+    NEW_RUNS = (harness._step_run_pattern(),) * 2
 
     @pytest.mark.parametrize("shape", [0, 1], ids=["bandit", "keymaze"])
     @settings(max_examples=100, deadline=None)
@@ -1850,6 +1881,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"report error: cannot write {out / 'metric_table.csv'}: ")
+
+    @pytest.mark.parametrize("name", ["ucb_run0001.jsonl", "summary.json"])
+    def test_artifact_that_cannot_be_written_exits_one_naming_it(self, tmp_path, name):
+        out = tmp_path / "runs"
+        (out / name).mkdir(parents=True)
+        command = ["bandit", "run", "--config", str(CONFIGS / "bandit_ucb.json"), "--runs", "3",
+                   "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "dora.cli", *command], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"cannot write {out / name}: ")
+        assert "Traceback" not in done.stderr
 
     def test_report_empty_dir_is_error(self, tmp_path):
         empty = tmp_path / "none"
