@@ -163,34 +163,31 @@ def _argmax(values: list[float]) -> int:
     return values.index(max(values))
 
 
-def _means(counts: Sequence[int], sums: Sequence[float]) -> list[float]:
-    """Per-arm empirical means; an arm never pulled reads 0.0, as with
-    ``np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)``."""
-    return [s / n if n else 0.0 for s, n in zip(sums, counts)]
-
-
-def _summary(step_count: int, counts: Sequence[int], sums: Sequence[float]) -> str:
+def _summary(step_count: int, counts: Sequence[int], means: Sequence[float]) -> str:
     """The summarized-history observation of the first ``len(counts)`` arms."""
-    return prompts.mab_history(
-        step_count, counts, _means(counts, sums), ARM_COLORS[: len(counts)]
-    )
+    return prompts.mab_history(step_count, counts, means, ARM_COLORS[: len(counts)])
 
 
 class _EmpiricalMeans:
-    """Per-arm pull counts and reward sums in plain lists.
+    """Per-arm pull counts, reward sums and empirical means in plain lists.
 
     The classical policies pick over a handful of arms at every step, where
-    list arithmetic beats numpy's per-call overhead; every float operation
-    matches the array formula it replaces, so pulls are unchanged.
+    list arithmetic beats numpy's per-call overhead. An update recomputes
+    only the pulled arm's mean, ``sums[arm] / counts[arm]``, and an arm never
+    pulled reads 0.0: the same floats as
+    ``np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)``,
+    so pulls are unchanged.
     """
 
     def reset(self, num_arms: int) -> None:
         self.counts = [0] * num_arms
         self.sums = [0.0] * num_arms
+        self.means = [0.0] * num_arms
 
     def update(self, arm: int, reward: int) -> None:
         self.counts[arm] += 1
         self.sums[arm] += reward
+        self.means[arm] = self.sums[arm] / self.counts[arm]
 
 
 # The c of UCB's sqrt(c / n) exploration bonus.
@@ -198,12 +195,25 @@ UCB_BONUS = 1.0
 
 
 class UcbPolicy(_EmpiricalMeans):
-    """Empirical mean plus a sqrt(UCB_BONUS / n) bonus; one initial pull of every arm."""
+    """Empirical mean plus a sqrt(UCB_BONUS / n) bonus; one initial pull of every arm.
+
+    The bonus has no log-t term, so an update changes only the pulled arm's index.
+    """
+
+    select_draws = False
+
+    def reset(self, num_arms: int) -> None:
+        super().reset(num_arms)
+        self.index = [0.0] * num_arms
 
     def select(self, t: int, rng: np.random.Generator) -> int:
         if 0 in self.counts:
             return self.counts.index(0)
-        return _argmax([s / n + math.sqrt(UCB_BONUS / n) for s, n in zip(self.sums, self.counts)])
+        return _argmax(self.index)
+
+    def update(self, arm: int, reward: int) -> None:
+        super().update(arm, reward)
+        self.index[arm] = self.means[arm] + math.sqrt(UCB_BONUS / self.counts[arm])
 
 
 # Every Thompson-sampling arm starts from the uniform prior Beta(1, 1).
@@ -223,8 +233,7 @@ class ThompsonPolicy:
         self.beta = [TS_BETA0] * num_arms
 
     def select(self, t: int, rng: np.random.Generator) -> int:
-        beta = rng.beta
-        return _argmax([beta(a, b) for a, b in zip(self.alpha, self.beta)])
+        return _argmax(list(map(rng.beta, self.alpha, self.beta)))
 
     def update(self, arm: int, reward: int) -> None:
         if reward:
@@ -236,10 +245,12 @@ class ThompsonPolicy:
 class GreedyPolicy(_EmpiricalMeans):
     """Pure argmax of empirical means after one initial pull of every arm."""
 
+    select_draws = False
+
     def select(self, t: int, rng: np.random.Generator) -> int:
         if 0 in self.counts:
             return self.counts.index(0)
-        return _argmax([s / n for s, n in zip(self.sums, self.counts)])
+        return _argmax(self.means)
 
 
 EPSILON0 = 0.1
@@ -261,7 +272,7 @@ class EpsilonGreedyPolicy(_EmpiricalMeans):
     def select(self, t: int, rng: np.random.Generator) -> int:
         if rng.random() < self.epsilon:
             return int(rng.integers(len(self.counts)))
-        return _argmax(_means(self.counts, self.sums))
+        return _argmax(self.means)
 
     def update(self, arm: int, reward: int) -> None:
         super().update(arm, reward)
@@ -278,7 +289,7 @@ class ScheduledSoftmaxAgent(_EmpiricalMeans):
 
     def select(self, t: int, rng: np.random.Generator) -> int:
         lam = lambda_exp(self.schedule, min(t, self.schedule.horizon))
-        dist = lambda_probabilities(_means(self.counts, self.sums), lam)
+        dist = lambda_probabilities(self.means, lam)
         return sample_categorical(dist, rng)
 
 
@@ -297,19 +308,39 @@ def decaying_temperature(horizon: int) -> Callable[[int], float]:
 
 
 def run_bandit(agent, instance: BanditInstance, seed: int) -> BanditRun:
-    """Play one horizon of an agent that always picks an arm in range; rewards
-    draw Bernoulli(mean) from the run's stream."""
+    """Play one horizon of an agent; rewards draw Bernoulli(mean) from the run's stream.
+
+    Each step takes one uniform for its reward after the agent's selection.
+    An agent whose class sets ``select_draws = False`` takes nothing from the
+    stream in ``select``, so its horizon's uniforms come from one
+    ``rng.random(horizon)`` call, which on PCG64 yields the same doubles as
+    one call per step. An arm outside ``[0, num_arms)`` raises ``ValueError``.
+    """
     rng = np.random.default_rng([seed, 1])
-    arm_means = instance.arm_means
-    agent.reset(instance.num_arms)
+    arm_means, num_arms, horizon = instance.arm_means, instance.num_arms, instance.horizon
+    agent.reset(num_arms)
+    if getattr(agent, "select_draws", True):
+        draw = rng.random
+    else:
+        draw = iter(rng.random(horizon).tolist()).__next__
     pulls: list[int] = []
     rewards: list[int] = []
-    for t in range(instance.horizon):
-        arm = agent.select(t, rng)
-        reward = 1 if rng.random() < arm_means[arm] else 0
+    arm = 0  # an IndexError that select raises at step 0 is re-raised below
+    try:
+        for t in range(horizon):
+            arm = agent.select(t, rng)
+            reward = 1 if draw() < arm_means[arm] else 0
+            pulls.append(arm)
+            rewards.append(reward)
+            agent.update(arm, reward)
+    except IndexError:
+        if -num_arms <= arm < num_arms:  # the agent's own error, not the arm lookup
+            raise
         pulls.append(arm)
-        rewards.append(reward)
-        agent.update(arm, reward)
+    # A negative arm passes the lookup: it indexes from the end of arm_means.
+    if pulls and not 0 <= min(pulls) <= max(pulls) < num_arms:
+        t, arm = next((t, a) for t, a in enumerate(pulls) if not 0 <= a < num_arms)
+        raise ValueError(f"step {t}: the agent picked arm {arm!r}, outside [0, {num_arms})")
     return BanditRun(pulls, rewards)
 
 
@@ -340,7 +371,7 @@ class BanditEnv(_EmpiricalMeans):
         self.pulls: list[int] = []
         self.rewards: list[int] = []
         super().reset(self.instance.num_arms)
-        return _summary(self.t, self.counts, self.sums)
+        return _summary(self.t, self.counts, self.means)
 
     def step(self, action_text: str) -> TextEnvStep:
         if not self._started:
@@ -360,7 +391,7 @@ class BanditEnv(_EmpiricalMeans):
         self.rewards.append(reward)
         self.t += 1
         return TextEnvStep(
-            observation=_summary(self.t, self.counts, self.sums),
+            observation=_summary(self.t, self.counts, self.means),
             reward=float(reward),
             score=sum(self.sums) / self.instance.horizon,
             terminal=self.t >= self.instance.horizon,

@@ -338,12 +338,19 @@ _BANDIT_STEP_LINE = (
 
 
 def _bandit_step_text(run: BanditRun, run_index: int) -> list[str]:
-    line = _BANDIT_STEP_LINE
+    """The run's step lines, filled from ``_BANDIT_STEP_LINE``. A run repeats
+    at most 2 * num_arms + 1 (arm, reward) pairs, so the text on either side
+    of the step index is filled once per pair."""
+    head, tail = _BANDIT_STEP_LINE.rsplit("%d", 1)  # the step index is the last %d
+    sides = {}
+    for arm, reward in set(zip(run.pulls, run.rewards)):
+        if arm == INVALID_PULL:
+            sides[arm, reward] = (head % ("null", reward, run_index), tail % "false")
+        else:
+            sides[arm, reward] = (head % (arm, reward, run_index), tail % "true")
     return [
-        line % (arm, reward, run_index, t, "true")
-        if arm != INVALID_PULL
-        else line % ("null", reward, run_index, t, "false")
-        for t, (arm, reward) in enumerate(zip(run.pulls, run.rewards))
+        f"{before}{t}{after}"
+        for t, (before, after) in enumerate(map(sides.__getitem__, zip(run.pulls, run.rewards)))
     ]
 
 

@@ -217,6 +217,40 @@ class TestRunBanditAndMetrics:
         assert metrics.suffix_failure is True
         assert metrics.best_arm_fraction == 0.0
 
+    @pytest.mark.parametrize("bad_arm", [INVALID_PULL, 5])
+    def test_out_of_range_arm_is_a_value_error(self, bad_arm):
+        # -1 would index the last arm's mean, and 5 past a 5-arm tuple.
+        instance = make_hard_instance(5, 0.2, 200, seed=29)
+
+        class StraysAtStep7:
+            def reset(self, num_arms):
+                pass
+
+            def select(self, t, rng):
+                return bad_arm if t == 7 else 0
+
+            def update(self, arm, reward):
+                pass
+
+        with pytest.raises(ValueError, match=rf"^step 7: .* arm {bad_arm}, outside \[0, 5\)$"):
+            run_bandit(StraysAtStep7(), instance, 29)
+
+    def test_agent_index_error_propagates(self):
+        instance = make_hard_instance(5, 0.2, 200, seed=31)
+
+        class Broken:
+            def reset(self, num_arms):
+                pass
+
+            def select(self, t, rng):
+                return [][t]
+
+            def update(self, arm, reward):
+                pass
+
+        with pytest.raises(IndexError):
+            run_bandit(Broken(), instance, 31)
+
     def test_regret_identity_with_invalid_steps(self):
         instance = make_hard_instance(5, 0.2, 200, seed=23)
         pulls = []

@@ -5,9 +5,16 @@ list versions must pick the same arm from any counts and sums (zero counts
 and exact ties included) and draw from the run's random stream in the same
 order, so whole runs keep their pulls. For Thompson sampling that means one
 ``rng.beta`` call per arm draws what one call on the whole vector draws.
+
+The list versions also keep each arm's mean (and UCB's index) up to date
+arm by arm, and a policy whose selection never draws takes a run's reward
+uniforms in one call; the cases at the end check both against the formulas
+and against one draw per step.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dora.bandit import (
+    UCB_BONUS,
     EpsilonGreedyPolicy,
     GreedyPolicy,
     ThompsonPolicy,
@@ -22,6 +30,7 @@ from dora.bandit import (
     make_hard_instance,
     run_bandit,
 )
+from dora.harness import CLASSICAL_POLICIES
 
 
 class NumpyUcb:
@@ -134,5 +143,61 @@ def test_whole_runs_match_numpy_formula(name):
         instance = make_hard_instance(2 + seed % 6, 0.2, 200, seed)
         new = run_bandit(new_cls(), instance, seed)
         ref = run_bandit(ref_cls(), instance, seed)
+        assert new.pulls == ref.pulls, f"seed {seed}"
+        assert new.rewards == ref.rewards, f"seed {seed}"
+
+
+# --- incremental means and the one-call reward draws ---------------------------
+
+
+@pytest.mark.parametrize("cls", [UcbPolicy, GreedyPolicy, EpsilonGreedyPolicy])
+@settings(max_examples=300, deadline=None)
+@given(stats=arm_stats())
+def test_updates_keep_every_mean_and_index(cls, stats):
+    counts, sums = stats
+    policy = load(cls(), counts, sums)
+    assert policy.means == [s / n if n else 0.0 for s, n in zip(sums, counts)]
+    if cls is UcbPolicy:
+        for arm, (n, s) in enumerate(zip(counts, sums)):
+            if n:
+                assert policy.index[arm] == s / n + math.sqrt(UCB_BONUS / n)
+
+
+class NoDraws:
+    """A stand-in generator that fails on any use."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"select used the generator: rng.{name}")
+
+
+def test_flagged_policies_never_draw_in_select():
+    assert UcbPolicy.select_draws is False and GreedyPolicy.select_draws is False
+    for cls in CLASSICAL_POLICIES.values():
+        if getattr(cls, "select_draws", True):
+            continue
+        policy = cls()
+        policy.reset(5)
+        rewards = np.random.default_rng(3)
+        for t in range(200):
+            arm = policy.select(t, NoDraws())
+            policy.update(arm, 1 if rewards.random() < 0.5 else 0)
+
+
+class PerStepUcb(UcbPolicy):
+    select_draws = True
+
+
+class PerStepGreedy(GreedyPolicy):
+    select_draws = True
+
+
+@pytest.mark.parametrize(
+    "flagged, per_step", [(UcbPolicy, PerStepUcb), (GreedyPolicy, PerStepGreedy)]
+)
+def test_one_draw_call_matches_per_step_draws(flagged, per_step):
+    for seed in range(200):
+        instance = make_hard_instance(2 + seed % 6, 0.2, 200, seed)
+        new = run_bandit(flagged(), instance, seed)
+        ref = run_bandit(per_step(), instance, seed)
         assert new.pulls == ref.pulls, f"seed {seed}"
         assert new.rewards == ref.rewards, f"seed {seed}"
