@@ -470,10 +470,13 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     JSONL file as soon as it ends, so only the metrics of finished runs stay
     in memory; an error writing the file escapes, but an ``output_dir`` that
     cannot be made a directory is a :class:`ConfigError` before any run
-    starts. The aggregate CSV, the plot CSVs and summary.json are written
-    after the last run, from the metrics in run order. Repeated invocations
-    with the same config and master seed therefore produce identical bytes
-    for mock and classical agents, whatever the worker count.
+    starts. Before the first run, the agent's run files and the aggregate and
+    plot CSVs that an earlier suite left in ``output_dir`` are removed
+    (regular files only), so ``report`` never reads them with this suite's.
+    The aggregate CSV, the plot CSVs and summary.json are written after the
+    last run, from the metrics in run order. Repeated invocations with the
+    same config and master seed therefore produce identical bytes for mock
+    and classical agents, whatever the worker count.
     """
     config.validate()
     backend_factory = config.backend_factory()
@@ -482,6 +485,10 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    tables = ("aggregate.csv", "plot_arm_selection.csv", "plot_best_arm_fraction.csv")
+    for stale in [*out.glob(f"{config.agent}_run*.jsonl"), *map(out.joinpath, tables)]:
+        if stale.is_file():
+            stale.unlink()
 
     runner = _run_bandit_one if config.suite == "bandit" else _run_keymaze_one
 
@@ -612,7 +619,7 @@ def _plot_series(metrics: list[dict], num_arms: int, horizon: int):
 
 def _write_bandit_plots(
     metrics: list[dict], num_arms: int, horizon: int, arm_path: Path, frac_path: Path
-) -> list[Path]:
+) -> None:
     """Write the arm-selection and best-arm-fraction plot CSVs of one agent's runs.
 
     Arms past the named colors are headed ``arm5``, ``arm6``, ...
@@ -621,7 +628,6 @@ def _write_bandit_plots(
     t, cum, invalid, best_frac = _plot_series(metrics, num_arms, horizon)
     _write_series(arm_path, ["t", *colors, "invalid"], [t, cum, invalid])
     _write_series(frac_path, ["t", "best_arm_frac"], [t, best_frac])
-    return [arm_path, frac_path]
 
 
 def _write_series(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -639,12 +645,13 @@ def _write_series(path: Path, header: list[str], columns: list[np.ndarray]) -> N
 # The step lines _BANDIT_STEP_LINE and _step_line_from_record write, laid out
 # as _dump_line lays them out: keys sorted, no whitespace, ``lambda`` and
 # ``candidates`` only when the step has them. A line that fully matches is a
-# JSON object whose schema_version is SCHEMA_VERSION, so ``report`` skips it
-# undecoded: every key is written plainly and once, and numbers and strings are
-# JSON's. Integers have no leading zero and at most 18 digits, so every other
-# line, one with a 5000-digit integer too, is decoded and checked. The string
-# pattern is the unrolled form, which is faster per character than an
-# alternation, and its first branch closes a string that holds no escape.
+# JSON object whose schema_version is SCHEMA_VERSION, so ``report`` takes it
+# undecoded between a run file's config and metrics lines: every key is written
+# plainly and once, and numbers and strings are JSON's. Integers have no
+# leading zero and at most 18 digits. Every other line there, one with a
+# 5000-digit integer too, is refused. The string pattern is the unrolled form,
+# which is faster per character than an alternation, and its first branch
+# closes a string that holds no escape.
 #
 # Every optional part is an alternation with an empty branch, ``(?:X|)``, not
 # ``(?:X)?``: ``re`` compiles ``?`` over a pattern of more than one op to a
@@ -722,17 +729,17 @@ def _step_run_pattern():
     return re.compile(rf"(?:(?:{shapes})\n)++")
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    """Every record of a run file but its step lines, which are checked against
-    the shapes their writers give them instead of decoded.
+def _read_run_file(path: Path) -> tuple[dict, dict]:
+    """The config and metrics records of a run file in the one layout ``run``
+    writes: the config line first, the metrics line last, and between them
+    only step lines, each as its writer writes it.
 
     The file is read as bytes and decoded once. CRLF and then CR become LF
     when the text holds a CR, so its lines are those of ``readlines()`` with
-    universal newlines. At each line start, one step-run match skips every
-    step line up to the next other line. Any other line is stripped of
-    surrounding whitespace, skipped if it is blank or fully matches a step
-    shape, and otherwise decoded and checked. Line numbers are counted only
-    for the line that fails.
+    universal newlines. The first and the last line are decoded and checked;
+    one step-run match must take every line between them, and the first line
+    it does not take is refused undecoded. Line numbers are counted only for
+    the line that fails.
     """
     try:
         data = path.read_bytes()
@@ -743,21 +750,22 @@ def _read_jsonl(path: Path) -> list[dict]:
     except UnicodeDecodeError as exc:
         before = _newlines_to_lf(data[: exc.start].decode("utf-8"))
         raise ReportError(f"{_where(path, before, len(before))}: not UTF-8: {exc}") from exc
-    records = []
-    step_run = _step_run_pattern().match
-    step_shapes = [pattern.fullmatch for pattern in _step_line_patterns()]
-    pos, size = 0, len(text)
-    while pos < size:
-        run = step_run(text, pos)
-        if run:
-            pos = run.end()
-        else:
-            stop = text.find("\n", pos) + 1 or size  # past the newline, or the end
-            line = text[pos:stop].strip()
-            if line and not any(is_step(line) for is_step in step_shapes):
-                records.append(_decode_line(path, text, pos, line))
-            pos = stop
-    return records
+    end = len(text) - text.endswith("\n")  # the end of the last line
+    first_end = text.find("\n", 0, end)
+    if first_end < 0:  # one line or none
+        if end:
+            _decode_line(path, text, 0, text[:end])
+        raise ReportError(f"{path}: missing config or metrics record")
+    last = text.rfind("\n", 0, end) + 1
+    config = _decode_line(path, text, 0, text[:first_end])
+    metrics = _decode_line(path, text, last, text[last:end])
+    if config.get("kind") != "config" or metrics.get("kind") != "metrics":
+        raise ReportError(f"{path}: missing config or metrics record")
+    steps = _step_run_pattern().match(text, first_end + 1, last)
+    stop = steps.end() if steps else first_end + 1
+    if stop != last:
+        raise ReportError(f"{_where(path, text, stop)}: not a step line as run writes it")
+    return config, metrics
 
 
 def _newlines_to_lf(text: str) -> str:
@@ -772,8 +780,8 @@ def _where(path: Path, text: str, pos: int) -> str:
 
 
 def _decode_line(path: Path, text: str, pos: int, line: str) -> dict:
-    """The record of ``line``, which starts at ``pos`` of ``text`` and is no
-    step line: a JSON object of this schema."""
+    """The record of ``line``, which starts at ``pos`` of ``text``: a JSON
+    object of this schema."""
     try:
         record = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
@@ -851,15 +859,17 @@ def report(input_dir, output_dir) -> list[Path]:
     """Aggregate a directory of run JSONL files into summary tables and plot CSVs.
 
     Raises :class:`ReportError` (before writing anything) when the directory
-    holds no artifacts, any line is not a JSON object or its
-    ``schema_version`` is not exactly the integer :data:`SCHEMA_VERSION`, a
-    config record's ``suite`` is not one of :data:`SUITES`, a config or
-    metrics record lacks a field read here or holds one of the wrong type or
-    out of range, a bandit run's ``pulls`` do not fit its ``(num_arms,
-    horizon)``, its arm-selection plot would pass :data:`MAX_PLOT_CELLS`,
-    one bandit agent's runs differ in ``(num_arms, horizon)``, or
-    ``output_dir`` cannot be made a directory; and, naming the file, when a
-    table or plot cannot be written.
+    holds no artifacts, a run file is not in the one layout ``run`` writes
+    (see :func:`_read_run_file`) or its config or metrics line is not a JSON
+    object whose ``schema_version`` is exactly the integer
+    :data:`SCHEMA_VERSION`, a config record's ``suite`` is not one of
+    :data:`SUITES`, a config or metrics record lacks a field read here or
+    holds one of the wrong type or out of range, a bandit run's ``pulls`` do
+    not fit its ``(num_arms, horizon)``, its arm-selection plot would pass
+    :data:`MAX_PLOT_CELLS`, one bandit agent's runs differ in ``(num_arms,
+    horizon)``, ``output_dir`` cannot be made a directory, or a table or plot
+    path exists and is not a regular file; and, naming the file, when a table
+    or plot cannot be written, which can leave the tables written before it.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -870,11 +880,7 @@ def report(input_dir, output_dir) -> list[Path]:
     bandit_shape: dict[str, tuple[tuple[int, int], Path]] = {}
     keymaze_metrics: dict[str, list[dict]] = {}
     for path in paths:
-        records = _read_jsonl(path)
-        header = next((r for r in records if r.get("kind") == "config"), None)
-        metrics = next((r for r in records if r.get("kind") == "metrics"), None)
-        if header is None or metrics is None:
-            raise ReportError(f"{path}: missing config or metrics record")
+        header, metrics = _read_run_file(path)
         _check_fields(path, "config", header, (("suite", _SUITE),))
         suite = header["suite"]
         config_fields, metrics_fields = _REPORT_FIELDS[suite]
@@ -916,31 +922,35 @@ def report(input_dir, output_dir) -> list[Path]:
 
 
 def _write_report(out: Path, bandit_metrics, bandit_shape, keymaze_metrics) -> list[Path]:
-    written: list[Path] = []
+    """Write the tables and plots and return their paths, in the order
+    written. A path that exists and is not a regular file (a directory, say)
+    is refused before any file is written."""
+    bandit_agents = sorted(bandit_metrics)
+    plots = [
+        (out / f"arm_selection_{agent}.csv", out / f"best_arm_fraction_{agent}.csv")
+        for agent in bandit_agents
+    ]
+    paths = [
+        *([out / "metric_table.csv"] if bandit_metrics else []),
+        *(path for pair in plots for path in pair),
+        *([out / "loops_table.csv"] if keymaze_metrics else []),
+    ]
+    for path in paths:
+        if path.exists() and not path.is_file():
+            raise ReportError(f"cannot write {path}: not a regular file")
+
     if bandit_metrics:
-        rows = [
-            _bandit_aggregate_rows(agent, bandit_metrics[agent]) for agent in sorted(bandit_metrics)
-        ]
-        table = out / "metric_table.csv"
-        _write_csv(table, BANDIT_HEADER, rows)
-        written.append(table)
-        for agent in sorted(bandit_metrics):
+        rows = [_bandit_aggregate_rows(agent, bandit_metrics[agent]) for agent in bandit_agents]
+        _write_csv(paths[0], BANDIT_HEADER, rows)
+        for agent, (arm_path, frac_path) in zip(bandit_agents, plots):
             (num_arms, horizon), _ = bandit_shape[agent]
-            written += _write_bandit_plots(
-                bandit_metrics[agent],
-                num_arms,
-                horizon,
-                out / f"arm_selection_{agent}.csv",
-                out / f"best_arm_fraction_{agent}.csv",
-            )
+            _write_bandit_plots(bandit_metrics[agent], num_arms, horizon, arm_path, frac_path)
 
     if keymaze_metrics:
         rows = [
             _keymaze_aggregate_rows(agent, keymaze_metrics[agent])
             for agent in sorted(keymaze_metrics)
         ]
-        table = out / "loops_table.csv"
-        _write_csv(table, KEYMAZE_HEADER, rows)
-        written.append(table)
+        _write_csv(paths[-1], KEYMAZE_HEADER, rows)
 
-    return written
+    return paths

@@ -721,7 +721,7 @@ class TestReport:
             }
         )
         (runs / "oracle_run0000.jsonl").write_text(
-            "\n".join(json.dumps(line) for line in lines) + "\n"
+            "\n".join(harness._dump_line(line) for line in lines) + "\n"
         )
         written = report(runs, tmp_path / "tables")
         frac = [p for p in written if p.name == "best_arm_fraction_oracle.csv"][0]
@@ -789,12 +789,47 @@ class TestReport:
 
     @pytest.mark.parametrize("line", ["[1]", '"metrics"', "3", "null"])
     def test_line_that_is_not_an_object_is_a_report_error(self, tmp_path, line):
+        """In place of the metrics line, which is decoded; between the first
+        and the last line it is no step line (see TestStepLineShapes)."""
         runs = self.write_greedy_runs(tmp_path)
         path = runs / "greedy_run0001.jsonl"
         lines = path.read_text().splitlines()
-        lines.insert(3, line)
+        lines[-1] = line
         path.write_text("\n".join(lines) + "\n")
-        self.assert_report_fails(runs, tmp_path, f"{path}:4:", "not a JSON object")
+        self.assert_report_fails(runs, tmp_path, f"{path}:22:", "not a JSON object")
+
+    def test_file_of_only_config_and_metrics_lines_is_read(self, tmp_path):
+        runs = self.write_greedy_runs(tmp_path)
+        report(runs, tmp_path / "full")
+        for path in runs.glob("*.jsonl"):
+            first, *_, last = path.read_text().splitlines()
+            path.write_text(f"{first}\n{last}\n")
+        report(runs, tmp_path / "bare")
+        assert tree_bytes(tmp_path / "bare") == tree_bytes(tmp_path / "full")
+
+    MISSING = "{path}: missing config or metrics record"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param("", MISSING, id="empty"),
+            pytest.param("\n", MISSING, id="blank"),
+            pytest.param("{config}", MISSING, id="config-unended"),
+            pytest.param("{config}\n", MISSING, id="config"),
+            pytest.param("{config}\n{steps}", MISSING, id="metrics-dropped"),
+            pytest.param("{metrics}\n{steps}{config}\n", MISSING, id="swapped"),
+            pytest.param("{config}\n{steps}{metrics_cut}", "{path}:22: not valid JSON: ",
+                         id="metrics-truncated"),
+        ],
+    )
+    def test_file_out_of_the_run_layout_is_refused(self, tmp_path, text, message):
+        runs = self.write_greedy_runs(tmp_path)
+        path = runs / "greedy_run0000.jsonl"
+        config, *steps, metrics = path.read_text().splitlines()
+        steps = "".join(line + "\n" for line in steps)
+        path.write_text(text.format(config=config, steps=steps, metrics=metrics,
+                                    metrics_cut=metrics[:-9]))
+        self.assert_report_fails(runs, tmp_path, message.format(path=path))
 
     @pytest.mark.parametrize(
         "kind,name",
@@ -812,16 +847,19 @@ class TestReport:
     def test_bandit_record_without_a_field_is_a_report_error(self, tmp_path, kind, name):
         runs = self.write_greedy_runs(tmp_path)
         path = runs / "greedy_run0000.jsonl"
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        del next(r for r in records if r["kind"] == kind)[name]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        self.edit_records(path, lambda records: records[kind].pop(name))
         self.assert_report_fails(runs, tmp_path, str(path), f"{kind} record lacks {name}")
 
     @staticmethod
     def edit_records(path: Path, edit) -> None:
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        edit({r["kind"]: r for r in records if r["kind"] != "step"})
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        """Apply ``edit`` to the config and metrics records, by kind, and
+        rewrite only their lines, the first and the last; the step lines stay
+        as written."""
+        first, *steps, last = path.read_text().splitlines()
+        records = {"config": json.loads(first), "metrics": json.loads(last)}
+        edit(records)
+        lines = [json.dumps(records["config"]), *steps, json.dumps(records["metrics"])]
+        path.write_text("".join(line + "\n" for line in lines))
 
     @pytest.mark.parametrize(
         "kind,name,value",
@@ -1041,9 +1079,11 @@ TEMPLATE_STEP_RE = re.compile(
 
 
 class TestStepLineTemplate:
-    """``report`` skips the lines ``_BANDIT_STEP_LINE`` writes by matching them
-    against the classical shape, shape 0 of ``_step_line_patterns()``; every
-    other line is decoded and checked."""
+    """The lines ``_BANDIT_STEP_LINE`` writes match the classical shape, shape 0
+    of ``_step_line_patterns()``, so ``report`` takes them undecoded between a
+    run file's first and last line. A line close to that shape is decoded and
+    checked in the place of the config or the metrics line, and refused
+    between them (``TestStepLineShapes``)."""
 
     CLASSICAL_RE = harness._step_line_patterns()[0]
 
@@ -1069,60 +1109,51 @@ class TestStepLineTemplate:
         assert self.CLASSICAL_RE.fullmatch(line)
 
     STEP = harness._BANDIT_STEP_LINE % (1, 0, 0, 3, "true")
+    WRONG_VERSION = [
+        pytest.param(STEP.replace('"schema_version":1', '"schema_version":1.0'), 1.0, id="float"),
+        pytest.param(STEP.replace('"schema_version":1', '"schema_version":true'), True,
+                     id="boolean"),
+        pytest.param(
+            '{"kind":"step","arm":1,"reward":0,"run":0,"schema_version":"1","step":3,"valid":true}',
+            "1", id="reordered-keys",
+        ),
+    ]
+    NOT_JSON = [
+        pytest.param(STEP.replace('"reward":0', '"reward":01'), id="leading-zero"),
+        pytest.param(STEP + "x", id="trailing-bytes"),
+        pytest.param(STEP + STEP, id="two-lines-in-one"),
+        pytest.param(STEP.replace('"step":3', f'"step":{LONG_INT}'), id="5000-digits"),
+    ]
 
-    @pytest.mark.parametrize(
-        "line,version",
-        [
-            (STEP.replace('"schema_version":1', '"schema_version":1.0'), 1.0),
-            (STEP.replace('"schema_version":1', '"schema_version":true'), True),
-            (
-                '{"kind":"step","arm":1,"reward":0,"run":0,'
-                '"schema_version":"1","step":3,"valid":true}',
-                "1",
-            ),
-        ],
-        ids=["float", "boolean", "reordered-keys"],
-    )
+    @pytest.mark.parametrize("line,version", WRONG_VERSION)
     def test_close_line_with_a_wrong_version_is_a_schema_error(self, tmp_path, line, version):
-        runs, path = self.insert_line(tmp_path, line)
+        runs, path = self.replace_line(tmp_path, 0, line)
         with pytest.raises(SchemaVersionError) as info:
             report(runs, tmp_path / "tables")
         assert str(info.value) == (
-            f"{path}:5: step field schema_version must be the integer 1, got {version!r}"
+            f"{path}:1: step field schema_version must be the integer 1, got {version!r}"
         )
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            pytest.param(STEP.replace('"reward":0', '"reward":01'), id="leading-zero"),
-            pytest.param(STEP + "x", id="trailing-bytes"),
-            pytest.param(STEP + STEP, id="two-lines-in-one"),
-            pytest.param(STEP.replace('"step":3', f'"step":{LONG_INT}'), id="5000-digits"),
-        ],
-    )
+    @pytest.mark.parametrize("line", NOT_JSON)
     def test_close_line_that_is_not_json_is_a_report_error(self, tmp_path, line):
-        runs, path = self.insert_line(tmp_path, line)
+        runs, path = self.replace_line(tmp_path, -1, line)
         with pytest.raises(ValueError) as decoding:
             json.loads(line)
         with pytest.raises(ReportError) as info:
             report(runs, tmp_path / "tables")
         assert type(info.value) is ReportError
-        assert str(info.value) == f"{path}:5: not valid JSON: {decoding.value}"
+        assert str(info.value) == f"{path}:22: not valid JSON: {decoding.value}"
 
     def test_line_nested_too_deep_is_a_report_error(self, tmp_path):
-        runs, path = self.insert_line(tmp_path, "[" * 100_000)
-        expected = f"^{re.escape(str(path))}:5: not valid JSON: .*recursion"
+        runs, path = self.replace_line(tmp_path, -1, "[" * 100_000)
+        expected = f"^{re.escape(str(path))}:22: not valid JSON: .*recursion"
         with pytest.raises(ReportError, match=expected):
             report(runs, tmp_path / "tables")
 
-    def test_reordered_step_line_is_decoded_and_read(self, tmp_path):
-        line = '{"kind":"step","arm":1,"reward":0,"run":0,"schema_version":1,"step":3,"valid":true}'
-        runs, _ = self.insert_line(tmp_path, line)
-        assert report(runs, tmp_path / "tables")
-
     @staticmethod
-    def insert_line(tmp_path, line: str) -> tuple[Path, Path]:
-        """A greedy suite with ``line`` as line 5 of its first run file."""
+    def edit_first_run(tmp_path, edit) -> tuple[Path, Path]:
+        """A greedy suite of 2 runs of 20 steps, whose first run file's lines
+        (22 of them) ``edit`` then changes in place."""
         runs = tmp_path / "runs"
         run_suite(
             ExperimentConfig.from_dict(
@@ -1131,11 +1162,29 @@ class TestStepLineTemplate:
         )
         path = runs / "greedy_run0000.jsonl"
         lines = path.read_text().splitlines()
-        assert TestStepLineTemplate.CLASSICAL_RE.fullmatch(lines[4])
-        assert not TestStepLineTemplate.CLASSICAL_RE.fullmatch(line)
-        lines.insert(4, line)
+        edit(lines)
         path.write_text("\n".join(lines) + "\n")
         return runs, path
+
+    @staticmethod
+    def insert_line(tmp_path, line: str) -> tuple[Path, Path]:
+        """A greedy suite with ``line`` as line 5 of its first run file."""
+
+        def edit(lines):
+            assert TestStepLineTemplate.CLASSICAL_RE.fullmatch(lines[4])
+            lines.insert(4, line)
+
+        return TestStepLineTemplate.edit_first_run(tmp_path, edit)
+
+    @staticmethod
+    def replace_line(tmp_path, at: int, line: str) -> tuple[Path, Path]:
+        """A greedy suite with ``line`` in place of the config line (``at`` 0)
+        or the metrics line (``at`` -1) of its first run file."""
+
+        def edit(lines):
+            lines[at] = line
+
+        return TestStepLineTemplate.edit_first_run(tmp_path, edit)
 
 
 def demo_config(name: str, runs: int, out: Path) -> ExperimentConfig:
@@ -1184,10 +1233,92 @@ def step_records(draw) -> StepRecord:
     )
 
 
+# A step record, and the bandit DORA and KeyMaze step lines written from it.
+RECORD = StepRecord(
+    3,
+    "You are in the hall.",
+    Mode.EXPLORE,
+    "go north",
+    lam=2.5,
+    candidates=[ScoredCandidate("go north", 0.25, 0.75), ScoredCandidate("look", -1.0, 0.25)],
+)
+BANDIT_STEP = harness._step_line_from_record(RECORD, 0, arm=2, reward=1, valid=True)
+KEYMAZE_STEP = harness._step_line_from_record(RECORD, 0, observation=RECORD.observation, reward=0.0)
+# Edits that take a DORA step line off its shape, each with what decoding the
+# edited line gives: "read" (a step record of this schema), "json" (not JSON),
+# or the schema_version it then holds.
+NEAR_MISS_EDITS = [
+    pytest.param(lambda s: s.replace('"mode":', '"mode": '), "read", id="space-after-colon"),
+    pytest.param(
+        lambda s: '{"kind":"step",' + s[1:].replace(',"kind":"step"', ""), "read",
+        id="reordered-keys",
+    ),
+    pytest.param(
+        lambda s: s.replace('"schema_version":1', '"schema_version":1.0'), 1.0,
+        id="version-float",
+    ),
+    pytest.param(
+        lambda s: s.replace('"schema_version":1', '"schema_version":true'), True,
+        id="version-true",
+    ),
+    pytest.param(
+        lambda s: s.replace('"step":', '"schema_version":2,"step":'), 2,
+        id="second-version",
+    ),
+    pytest.param(
+        lambda s: s.replace('"chosen_action"', '"\\u0063hosen_action"'), "read",
+        id="escaped-key",
+    ),
+    pytest.param(
+        lambda s: s.replace('"go north"', '"go\x01north"', 1), "json", id="control-character"
+    ),
+    pytest.param(
+        lambda s: s.replace('"go north"', '"go\\qnorth"', 1), "json", id="bad-escape"
+    ),
+    pytest.param(lambda s: s[:-1] + ",}", "json", id="trailing-comma"),
+    pytest.param(lambda s: s[:-9], "json", id="truncated"),
+    pytest.param(
+        lambda s: re.sub('"reward":[^,]*', '"reward":01', s), "json", id="leading-zero"
+    ),
+    pytest.param(
+        lambda s: re.sub('"reward":[^,]*', f'"reward":{LONG_INT}', s), "json",
+        id="5000-digit-reward",
+    ),
+    pytest.param(
+        lambda s: s.replace('"step":3', f'"step":{LONG_INT}'), "json",
+        id="5000-digit-step",
+    ),
+]
+CLASSICAL_STEP = TestStepLineTemplate.STEP
+# Lines that no step shape takes: the near misses of both DORA lines, the lines
+# close to the classical one, a step line in the layout of ``json.dumps``, with
+# padding or reordered keys, and lines that are no step line at all.
+OFF_SHAPE_LINES = [
+    *(
+        pytest.param(edit.values[0](step), id=f"{edit.id}-{name}")
+        for edit in NEAR_MISS_EDITS
+        for name, step in (("bandit", BANDIT_STEP), ("keymaze", KEYMAZE_STEP))
+    ),
+    *(pytest.param(p.values[0], id=f"classical-{p.id}")
+      for p in TestStepLineTemplate.WRONG_VERSION + TestStepLineTemplate.NOT_JSON),
+    pytest.param(json.dumps(json.loads(CLASSICAL_STEP)), id="json-dumps-layout"),
+    pytest.param(
+        '{"kind":"step","arm":1,"reward":0,"run":0,"schema_version":1,"step":3,"valid":true}',
+        id="reordered-step",
+    ),
+    pytest.param(" " + CLASSICAL_STEP, id="padded-before"),
+    pytest.param(CLASSICAL_STEP + "\t", id="padded-after"),
+    pytest.param("", id="blank"),
+    pytest.param("[" * 100_000, id="nested-too-deep"),
+    *(pytest.param(line, id=f"not-an-object-{line}") for line in ["[1]", '"metrics"', "3", "null"]),
+]
+
+
 class TestStepLineShapes:
-    """``report`` skips the bandit DORA and KeyMaze step lines that
-    ``_step_line_from_record`` writes by matching them against their shapes;
-    every other line is decoded and checked as before."""
+    """``report`` takes the bandit DORA and KeyMaze step lines that
+    ``_step_line_from_record`` writes undecoded between a run file's first and
+    last line, by matching them against their shapes, and refuses every other
+    line there. Its first and last line are decoded and checked."""
 
     _, BANDIT_RE, KEYMAZE_RE = harness._step_line_patterns()
 
@@ -1215,86 +1346,43 @@ class TestStepLineShapes:
         )
         assert self.KEYMAZE_RE.fullmatch(line)
 
-    RECORD = StepRecord(
-        3,
-        "You are in the hall.",
-        Mode.EXPLORE,
-        "go north",
-        lam=2.5,
-        candidates=[ScoredCandidate("go north", 0.25, 0.75), ScoredCandidate("look", -1.0, 0.25)],
-    )
-    BANDIT_STEP = harness._step_line_from_record(RECORD, 0, arm=2, reward=1, valid=True)
-    KEYMAZE_STEP = harness._step_line_from_record(
-        RECORD, 0, observation=RECORD.observation, reward=0.0
-    )
-
     @pytest.mark.parametrize("step", [BANDIT_STEP, KEYMAZE_STEP], ids=["bandit", "keymaze"])
-    @pytest.mark.parametrize(
-        "edit,outcome",
-        [
-            pytest.param(lambda s: s.replace('"mode":', '"mode": '), "read", id="space-after-colon"),
-            pytest.param(
-                lambda s: '{"kind":"step",' + s[1:].replace(',"kind":"step"', ""), "read",
-                id="reordered-keys",
-            ),
-            pytest.param(
-                lambda s: s.replace('"schema_version":1', '"schema_version":1.0'), 1.0,
-                id="version-float",
-            ),
-            pytest.param(
-                lambda s: s.replace('"schema_version":1', '"schema_version":true'), True,
-                id="version-true",
-            ),
-            pytest.param(
-                lambda s: s.replace('"step":', '"schema_version":2,"step":'), 2,
-                id="second-version",
-            ),
-            pytest.param(
-                lambda s: s.replace('"chosen_action"', '"\\u0063hosen_action"'), "read",
-                id="escaped-key",
-            ),
-            pytest.param(
-                lambda s: s.replace('"go north"', '"go\x01north"', 1), "json", id="control-character"
-            ),
-            pytest.param(
-                lambda s: s.replace('"go north"', '"go\\qnorth"', 1), "json", id="bad-escape"
-            ),
-            pytest.param(lambda s: s[:-1] + ",}", "json", id="trailing-comma"),
-            pytest.param(lambda s: s[:-9], "json", id="truncated"),
-            pytest.param(
-                lambda s: re.sub('"reward":[^,]*', '"reward":01', s), "json", id="leading-zero"
-            ),
-            pytest.param(
-                lambda s: re.sub('"reward":[^,]*', f'"reward":{LONG_INT}', s), "json",
-                id="5000-digit-reward",
-            ),
-            pytest.param(
-                lambda s: s.replace('"step":3', f'"step":{LONG_INT}'), "json",
-                id="5000-digit-step",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("edit,outcome", NEAR_MISS_EDITS)
     def test_near_miss_is_decoded_and_checked(self, tmp_path, monkeypatch, step, edit, outcome):
+        """In place of the metrics line: the line decoded as a step record is
+        refused for its kind, and every other one names its line."""
         line = edit(step)
         assert not self.BANDIT_RE.fullmatch(line) and not self.KEYMAZE_RE.fullmatch(line)
-        runs, path = TestStepLineTemplate.insert_line(tmp_path, line)
+        runs, path = TestStepLineTemplate.replace_line(tmp_path, -1, line)
+        decoded = self.record_loads(monkeypatch)
+        with pytest.raises(ReportError) as info:
+            report(runs, tmp_path / "tables")
+        monkeypatch.undo()
+        assert line in decoded
         if outcome == "read":
-            decoded = self.record_loads(monkeypatch)
-            assert report(runs, tmp_path / "tables")
-            assert line in decoded
+            assert str(info.value) == f"{path}: missing config or metrics record"
         elif outcome == "json":
             with pytest.raises(ValueError) as decoding:
                 json.loads(line)
-            with pytest.raises(ReportError) as info:
-                report(runs, tmp_path / "tables")
             assert type(info.value) is ReportError
-            assert str(info.value) == f"{path}:5: not valid JSON: {decoding.value}"
+            assert str(info.value) == f"{path}:22: not valid JSON: {decoding.value}"
         else:
-            with pytest.raises(SchemaVersionError) as info:
-                report(runs, tmp_path / "tables")
+            assert type(info.value) is SchemaVersionError
             assert str(info.value) == (
-                f"{path}:5: step field schema_version must be the integer 1, got {outcome!r}"
+                f"{path}:22: step field schema_version must be the integer 1, got {outcome!r}"
             )
+
+    @pytest.mark.parametrize("line", OFF_SHAPE_LINES)
+    def test_line_between_that_no_shape_takes_is_refused(self, tmp_path, monkeypatch, line):
+        assert not any(shape.fullmatch(line) for shape in harness._step_line_patterns())
+        runs, path = TestStepLineTemplate.insert_line(tmp_path, line)
+        decoded = self.record_loads(monkeypatch)
+        with pytest.raises(ReportError) as info:
+            report(runs, tmp_path / "tables")
+        monkeypatch.undo()
+        assert type(info.value) is ReportError
+        assert str(info.value) == f"{path}:5: not a step line as run writes it"
+        assert len(decoded) == 2 and line not in decoded
 
     def test_report_decodes_only_config_and_metrics_lines(self, tmp_path, monkeypatch):
         runs = tmp_path / "runs"
@@ -1343,27 +1431,22 @@ class TestStepLineShapes:
         assert done.stdout.splitlines() == ["[]", "[]", "0 0", "1 1"]
 
 
-def read_jsonl_by_line(path: Path) -> list[dict]:
-    """The reader ``report`` used before it skipped runs of step lines whole:
-    the file read as text with universal newlines, then line by line, each
-    stripped and then matched, decoded or skipped. The text is decoded whole, so
-    a decoding error names its byte position in the file (``readlines`` on the
-    file would name it within an 8 KiB chunk)."""
+def read_run_file_by_line(path: Path) -> tuple[dict, dict]:
+    """The positional reader, one line at a time: the file read as text with
+    universal newlines, its first and its last line decoded and checked, then
+    every line between them fully matched against each step shape in turn. The
+    text is decoded whole, so a decoding error names its byte position in the
+    file (``readlines`` on the file would name it within an 8 KiB chunk)."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            lines = io.StringIO(fp.read()).readlines()
+            lines = [line.removesuffix("\n") for line in io.StringIO(fp.read()).readlines()]
     except OSError as exc:
         raise ReportError(f"cannot read run file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ReportError(f"{path}:{undecodable_line(path)}: not UTF-8: {exc}") from exc
-    records = []
-    is_classical_step, is_bandit_step, is_keymaze_step = (
-        p.fullmatch for p in harness._step_line_patterns()
-    )
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or is_classical_step(line) or is_bandit_step(line) or is_keymaze_step(line):
-            continue
+
+    def decode(line_no: int) -> dict:
+        line = lines[line_no - 1]
         try:
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:
@@ -1376,8 +1459,20 @@ def read_jsonl_by_line(path: Path) -> list[dict]:
                 f"{path}:{line_no}: {record.get('kind', 'record')} field schema_version "
                 f"must be the integer {SCHEMA_VERSION}, got {version!r}"
             )
-        records.append(record)
-    return records
+        return record
+
+    if len(lines) < 2:
+        if lines and lines[0]:
+            decode(1)
+        raise ReportError(f"{path}: missing config or metrics record")
+    config, metrics = decode(1), decode(len(lines))
+    if config.get("kind") != "config" or metrics.get("kind") != "metrics":
+        raise ReportError(f"{path}: missing config or metrics record")
+    shapes = [pattern.fullmatch for pattern in harness._step_line_patterns()]
+    for line_no, line in enumerate(lines[1:-1], 2):
+        if not any(is_step(line) for is_step in shapes):
+            raise ReportError(f"{path}:{line_no}: not a step line as run writes it")
+    return config, metrics
 
 
 def undecodable_line(path: Path) -> int:
@@ -1409,8 +1504,9 @@ STEP_LINES = [
         step_records(), JSON_INT, JSON_FLOAT,
     ),
 ]
-# Edits that take a step line off its shape: it is then decoded and read, or
-# is not JSON, or has the wrong schema_version.
+# Edits that take a step line off its shape: between a run file's first and
+# last line it is then refused; in their place it is decoded as a step record,
+# or is not JSON, or has the wrong schema_version.
 NEAR_MISSES = [
     lambda line: line.replace(":", ": ", 1),
     lambda line: line[:-1],
@@ -1433,11 +1529,16 @@ OTHER_LINES = st.one_of(
 )
 
 
+CONFIG_LINE = harness._dump_line({"schema_version": SCHEMA_VERSION, "kind": "config"})
+METRICS_LINE = harness._dump_line({"schema_version": SCHEMA_VERSION, "kind": "metrics"})
+
+
 @st.composite
 def run_file_texts(draw) -> str:
     """The text of a run file: runs of step lines of one shape, some with a
-    near-miss line inside, between other lines; mostly LF endings, with some
-    CRLF and lone CR, and maybe no final newline."""
+    near-miss line inside, between other lines, most often after a config line
+    and before a metrics line; mostly LF endings, with some CRLF and lone CR,
+    and maybe no final newline."""
     lines = []
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
@@ -1450,6 +1551,8 @@ def run_file_texts(draw) -> str:
             lines += run
         else:
             lines += draw(st.lists(OTHER_LINES, min_size=1, max_size=3))
+    if draw(st.integers(0, 3)):
+        lines = [CONFIG_LINE, *lines, METRICS_LINE]
     ends = draw(st.lists(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]), min_size=len(lines),
                          max_size=len(lines)))
     if ends and draw(st.booleans()):
@@ -1490,8 +1593,9 @@ def read_outcome(read, path: Path):
 
 
 class TestStepRunScan:
-    """``_read_jsonl`` skips a run of step lines of any length and shapes with
-    one pattern match, and reads every file as the per-line reader does."""
+    """``_read_run_file`` takes every line between a run file's first and last
+    line, of any number and shapes, with one pattern match, and reads every
+    file as the positional per-line reader does."""
 
     @settings(
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -1500,7 +1604,9 @@ class TestStepRunScan:
     def test_reads_as_the_per_line_reader_does(self, tmp_path, data):
         path = tmp_path / "run.jsonl"
         path.write_bytes(data)
-        assert read_outcome(harness._read_jsonl, path) == read_outcome(read_jsonl_by_line, path)
+        assert read_outcome(harness._read_run_file, path) == read_outcome(
+            read_run_file_by_line, path
+        )
 
     def test_a_match_takes_the_whole_run_and_the_scan_goes_on(self, tmp_path):
         step, lines = classical_step_line(1, 0, 0, 3), 200
@@ -1508,10 +1614,15 @@ class TestStepRunScan:
         assert harness._step_run_pattern().match(text).group().count("\n") == lines
         path = tmp_path / "run.jsonl"
         bad = lines - 60
-        path.write_text(f"{step}\n" * (bad - 1) + "x\n" + f"{step}\n" * 64)
-        with pytest.raises(ReportError, match=f"run.jsonl:{bad}: not valid JSON"):
-            harness._read_jsonl(path)
-        assert read_outcome(harness._read_jsonl, path) == read_outcome(read_jsonl_by_line, path)
+        path.write_text(
+            f"{CONFIG_LINE}\n" + f"{step}\n" * (bad - 2) + "x\n" + f"{step}\n" * 64
+            + f"{METRICS_LINE}\n"
+        )
+        with pytest.raises(ReportError, match=f"run.jsonl:{bad}: not a step line"):
+            harness._read_run_file(path)
+        assert read_outcome(harness._read_run_file, path) == read_outcome(
+            read_run_file_by_line, path
+        )
 
     def test_one_match_takes_3000_lines_of_every_shape_in_under_64_kb(self):
         candidates = [ScoredCandidate(f"press {color} button", -0.25 * i, 0.2)
@@ -1543,13 +1654,13 @@ class TestStepRunScan:
         path = tmp_path / "run.jsonl"
         config = harness._dump_line({"schema_version": SCHEMA_VERSION, "kind": "config"})
         path.write_bytes(f"{config}\r\n".encode() * 400 + b"\xff\n")
-        outcome = read_outcome(harness._read_jsonl, path)
+        outcome = read_outcome(harness._read_run_file, path)
         assert outcome == (
             ReportError,
             f"{path}:401: not UTF-8: 'utf-8' codec can't decode byte 0xff in position "
             f"{(len(config) + 2) * 400}: invalid start byte",
         )
-        assert outcome == read_outcome(read_jsonl_by_line, path)
+        assert outcome == read_outcome(read_run_file_by_line, path)
 
 
 # The step shapes as they were built before every optional part became an
@@ -1881,6 +1992,43 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"report error: cannot write {out / 'metric_table.csv'}: ")
+
+    def test_later_table_that_cannot_be_written_leaves_no_table(self, tmp_path, capsys):
+        runs, out = tmp_path / "runs", tmp_path / "tables"
+        main(["bandit", "run", "--agent", "ucb", "--runs", "2", "--out", str(runs)])
+        (out / "arm_selection_ucb.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"report error: cannot write {out / 'arm_selection_ucb.csv'}: "
+        )
+        assert [path.name for path in out.iterdir()] == ["arm_selection_ucb.csv"]
+
+    def test_rerun_with_fewer_runs_leaves_no_earlier_run_file(self, tmp_path):
+        runs, tables = tmp_path / "runs", tmp_path / "tables"
+        main(["bandit", "run", "--agent", "greedy", "--runs", "2", "--out", str(runs)])
+        for extra in (["--runs", "3"], ["--runs", "2", "--seed", "7"]):
+            assert main(["bandit", "run", "--agent", "ucb", *extra, "--out", str(runs)]) == 0
+        assert sorted(path.name for path in runs.glob("*.jsonl")) == [
+            f"{agent}_run{i:04d}.jsonl" for agent in ("greedy", "ucb") for i in range(2)
+        ]
+        assert main(["report", "--in", str(runs), "--out", str(tables)]) == 0
+        ucb_row = (tables / "metric_table.csv").read_text().splitlines()[-1]
+        assert ucb_row == (runs / "aggregate.csv").read_text().splitlines()[-1]
+
+    def test_rerun_whose_every_run_fails_leaves_no_earlier_output(self, tmp_path):
+        runs = tmp_path / "runs"
+        run_suite(demo_config("bandit_dora_mock.json", 2, runs))
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"entries": []}')
+        command = ["bandit", "run", "--config", str(CONFIGS / "bandit_dora_mock.json"),
+                   "--backend", f"mock:{empty}", "--runs", "2", "--out", str(runs)]
+        assert main(command) == 3
+        assert json.loads((runs / "summary.json").read_text())["completed"] == 0
+        assert [path.name for path in runs.iterdir()] == ["summary.json"]
+        assert main(["report", "--in", str(runs), "--out", str(tmp_path / "tables")]) == 1
 
     @pytest.mark.parametrize("name", ["ucb_run0001.jsonl", "summary.json"])
     def test_artifact_that_cannot_be_written_exits_one_naming_it(self, tmp_path, name):
