@@ -34,8 +34,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        help="runs at a time, in threads (default: serial for classical and mock suites, "
-        "os.cpu_count() threads for remote)",
+        help="runs at a time (default: os.cpu_count()): classical and mock suites run in "
+        "that many forked processes, capped at --runs, on Linux and serially elsewhere; "
+        "remote suites run in that many threads",
     )
 
 

@@ -461,22 +461,89 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
 # --- suite driver ---------------------------------------------------------------
 
 
+def _send_share(one, share: range, send) -> None:
+    """In a worker process: ``one(i)`` for each run of ``share``, sent to the
+    parent as one list, or the OSError that stopped them (a run file that
+    cannot be written)."""
+    try:
+        results = [one(i) for i in share]
+    except OSError as exc:
+        results = exc
+    send.send(results)
+
+
+def _run_in_processes(one, runs: int, workers: int) -> list:
+    """``one(i)`` for every run ``i`` in run order, from ``workers`` processes.
+
+    Worker k takes the fixed share of runs k, k + workers, k + 2 * workers,
+    ... The calling process forks the workers 1..workers-1, runs share 0
+    itself, then takes each worker's results from a pipe. An OSError that
+    stopped a worker is raised again here, with its type and filename; a
+    worker that ends without sending results is a RuntimeError naming its
+    runs. Every worker is joined before this returns or raises, and on an
+    error it is terminated first. Workers are forked, not spawned, so ``one``
+    may be a closure and no worker imports dora and numpy again.
+    """
+    import multiprocessing  # here, so importing harness skips it
+
+    context = multiprocessing.get_context("fork")
+    shares = [range(k, runs, workers) for k in range(workers)]
+    results: list = [None] * runs
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share, args=(one, share, send))
+            child.start()
+            children.append((child, receive, share))
+            send.close()  # the child holds the only write end, so its exit ends the pipe
+        results[0::workers] = [one(i) for i in shares[0]]
+        for child, receive, share in children:
+            try:
+                sent = receive.recv()
+            except EOFError:
+                child.join()
+                named = ", ".join(map(str, share[:3])) + (", ..." if len(share) > 3 else "")
+                raise RuntimeError(
+                    f"the worker process for runs {named} exited with code {child.exitcode} "
+                    "before sending their results"
+                ) from None
+            if isinstance(sent, OSError):
+                raise sent
+            results[share.start::workers] = sent
+    except BaseException:
+        for child, _, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive, _ in children:
+            child.join()
+            receive.close()
+    return results
+
+
 def run_suite(config: ExperimentConfig) -> RunArtifacts:
     """Execute N runs and write all artifacts.
 
-    Runs hold the GIL unless a remote backend is waiting on the network, so
-    they run serially by default and in ``os.cpu_count()`` threads for the
-    remote backend; ``config.workers`` overrides either. Each run writes its
-    JSONL file as soon as it ends, so only the metrics of finished runs stay
-    in memory; an error writing the file escapes, but an ``output_dir`` that
-    cannot be made a directory is a :class:`ConfigError` before any run
-    starts. Before the first run, the agent's run files and the aggregate and
-    plot CSVs that an earlier suite left in ``output_dir`` are removed
-    (regular files only), so ``report`` never reads them with this suite's.
-    The aggregate CSV, the plot CSVs and summary.json are written after the
-    last run, from the metrics in run order. Repeated invocations with the
-    same config and master seed therefore produce identical bytes for mock
-    and classical agents, whatever the worker count.
+    Classical and mock runs hold the GIL, so on Linux they run in forked
+    worker processes, the calling process being one of them (see
+    :func:`_run_in_processes`), and serially elsewhere. Remote runs wait on
+    the network, so they run in threads. The worker count is
+    ``config.workers``, by default ``os.cpu_count()``; processes are capped
+    at the number of runs. numpy's OpenBLAS leaves a second OS thread after
+    import, so Python 3.12 and later raise a DeprecationWarning at the fork.
+
+    Each run writes its JSONL file as soon as it ends, so only the metrics
+    of finished runs stay in memory; an error writing the file escapes, but
+    an ``output_dir`` that cannot be made a directory is a
+    :class:`ConfigError` before any run starts. Before the first run, the
+    agent's run files and the aggregate and plot CSVs that an earlier suite
+    left in ``output_dir`` are removed (regular files only), so ``report``
+    never reads them with this suite's. The aggregate CSV, the plot CSVs and
+    summary.json are written after the last run, from the metrics in run
+    order. Repeated invocations with the same config and master seed
+    therefore produce identical bytes for mock and classical agents,
+    whatever the worker count.
     """
     config.validate()
     backend_factory = config.backend_factory()
@@ -502,14 +569,16 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
         (out / f"{config.agent}_run{i:04d}.jsonl").write_text(text, encoding="utf-8")
         return metrics_dict, None
 
-    workers = config.workers or ((os.cpu_count() or 1) if config.backend == "remote" else 1)
-    if workers == 1:
-        results = [one(i) for i in range(config.runs)]
-    else:
+    workers = config.workers or os.cpu_count() or 1
+    if config.backend == "remote" and workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # here, so importing harness skips it
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(config.runs)))
+    elif min(workers, config.runs) > 1 and sys.platform == "linux":
+        results = _run_in_processes(one, config.runs, min(workers, config.runs))
+    else:
+        results = [one(i) for i in range(config.runs)]
 
     metrics = [metrics_dict for metrics_dict, failure in results if failure is None]
     failures = [failure for _, failure in results if failure is not None]
@@ -813,13 +882,13 @@ _REAL = (_NUMBER, lambda v: abs(v) <= sys.float_info.max, "a finite number")
 # _FIELD_RULES, the type must match exactly, so a boolean is no integer.
 _REPORT_FIELDS = {
     "bandit": (
-        (("agent", _AGENT), ("num_arms", _SIZE), ("horizon", _SIZE)),
+        (("agent", _AGENT), ("num_arms", _SIZE), ("gap", _REAL), ("horizon", _SIZE)),
         (("best_arm", _COUNT), ("mean_avg_reward", _REAL), ("cum_regret", _REAL),
          ("best_arm_frac", _REAL), ("suffix_failure", ((bool,), None, "a boolean")),
          ("invalid_count", _COUNT), ("pulls", ((list,), None, "a list"))),
     ),
     "keymaze": (
-        (("agent", _AGENT),),
+        (("agent", _AGENT), ("max_steps", _SIZE)),
         (("score", _REAL), ("steps", _COUNT), ("unique_states", _COUNT),
          ("loops_encountered", _COUNT), ("loops_recovered", _COUNT)),
     ),
@@ -854,6 +923,20 @@ def _pulls_fit(pulls: list, num_arms: int, horizon: int) -> bool:
 # to build and write on a 2-vCPU host.
 MAX_PLOT_CELLS = 10_000_000
 
+_SHAPE = "(num_arms, horizon)"
+
+
+def _same_setting(firsts: dict, path: Path, agent: str, name: str, value) -> None:
+    """Refuse a run of ``agent`` whose setting ``name`` differs from that of
+    the agent's first run; ``firsts`` maps (agent, name) to that run's value
+    and file."""
+    first, first_path = firsts.setdefault((agent, name), (value, path))
+    if value != first:
+        raise ReportError(
+            f"{path}: agent {agent!r} has {name} = {value!r}, but {first_path} has {first!r}; "
+            "report them from separate directories"
+        )
+
 
 def report(input_dir, output_dir) -> list[Path]:
     """Aggregate a directory of run JSONL files into summary tables and plot CSVs.
@@ -867,7 +950,8 @@ def report(input_dir, output_dir) -> list[Path]:
     holds one of the wrong type or out of range, a bandit run's ``pulls`` do
     not fit its ``(num_arms, horizon)``, its arm-selection plot would pass
     :data:`MAX_PLOT_CELLS`, one bandit agent's runs differ in ``(num_arms,
-    horizon)``, ``output_dir`` cannot be made a directory, or a table or plot
+    horizon)`` or in ``gap``, one KeyMaze agent's runs differ in
+    ``max_steps``, ``output_dir`` cannot be made a directory, or a table or plot
     path exists and is not a regular file; and, naming the file, when a table
     or plot cannot be written, which can leave the tables written before it.
     """
@@ -877,8 +961,8 @@ def report(input_dir, output_dir) -> list[Path]:
         raise ReportError(f"no run artifacts (*.jsonl) found under {input_dir}")
 
     bandit_metrics: dict[str, list[dict]] = {}
-    bandit_shape: dict[str, tuple[tuple[int, int], Path]] = {}
     keymaze_metrics: dict[str, list[dict]] = {}
+    firsts: dict[tuple[str, str], tuple[object, Path]] = {}
     for path in paths:
         header, metrics = _read_run_file(path)
         _check_fields(path, "config", header, (("suite", _SUITE),))
@@ -900,14 +984,11 @@ def report(input_dir, output_dir) -> list[Path]:
                     f"{path}: (num_arms, horizon) = {shape} needs an arm-selection plot of "
                     f"{cells} cells, past the limit of {MAX_PLOT_CELLS}"
                 )
-            first_shape, first_path = bandit_shape.setdefault(agent, (shape, path))
-            if shape != first_shape:
-                raise ReportError(
-                    f"{path}: agent {agent!r} has (num_arms, horizon) = {shape}, but "
-                    f"{first_path} has {first_shape}; report them from separate directories"
-                )
+            _same_setting(firsts, path, agent, _SHAPE, shape)
+            _same_setting(firsts, path, agent, "gap", header["gap"])
             bandit_metrics.setdefault(agent, []).append(metrics)
         else:
+            _same_setting(firsts, path, header["agent"], "max_steps", header["max_steps"])
             keymaze_metrics.setdefault(header["agent"], []).append(metrics)
 
     out = Path(output_dir)
@@ -915,13 +996,14 @@ def report(input_dir, output_dir) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ReportError(f"cannot create output directory {out}: {exc}") from exc
+    shapes = {agent: firsts[agent, _SHAPE][0] for agent in bandit_metrics}
     try:
-        return _write_report(out, bandit_metrics, bandit_shape, keymaze_metrics)
+        return _write_report(out, bandit_metrics, shapes, keymaze_metrics)
     except OSError as exc:
         raise ReportError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
 
 
-def _write_report(out: Path, bandit_metrics, bandit_shape, keymaze_metrics) -> list[Path]:
+def _write_report(out: Path, bandit_metrics, shapes, keymaze_metrics) -> list[Path]:
     """Write the tables and plots and return their paths, in the order
     written. A path that exists and is not a regular file (a directory, say)
     is refused before any file is written."""
@@ -943,8 +1025,7 @@ def _write_report(out: Path, bandit_metrics, bandit_shape, keymaze_metrics) -> l
         rows = [_bandit_aggregate_rows(agent, bandit_metrics[agent]) for agent in bandit_agents]
         _write_csv(paths[0], BANDIT_HEADER, rows)
         for agent, (arm_path, frac_path) in zip(bandit_agents, plots):
-            (num_arms, horizon), _ = bandit_shape[agent]
-            _write_bandit_plots(bandit_metrics[agent], num_arms, horizon, arm_path, frac_path)
+            _write_bandit_plots(bandit_metrics[agent], *shapes[agent], arm_path, frac_path)
 
     if keymaze_metrics:
         rows = [

@@ -6,7 +6,8 @@ plot writers merged; the policy-sampled lambda and ``llm_temp`` bandit pins
 were recorded before scoring, sampling and the bandit summary moved to
 Python floats; the invalid-pull pin was recorded before classical step lines
 moved from the JSON encoder to a format template. A speed-up that moves any
-artifact byte fails here.
+artifact byte fails here. Every suite runs at 1, 2 and 4 workers, and each
+gives the same pinned digest.
 """
 
 from __future__ import annotations
@@ -50,25 +51,32 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def load_demo_config(name: str, agent: str | None, runs: int, out: Path) -> ExperimentConfig:
+def load_demo_config(
+    name: str, agent: str | None, runs: int, out: Path, workers: int
+) -> ExperimentConfig:
     data = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
     if "backend" in data:
         data["backend"] = "mock:" + str(CONFIGS / Path(data["backend"].split(":", 1)[1]).name)
-    data.update(runs=runs, output_dir=str(out))
+    data.update(runs=runs, output_dir=str(out), workers=workers)
     if agent is not None:
         data["agent"] = agent
     return ExperimentConfig.from_dict(data)
 
 
+@pytest.fixture(scope="module", params=[1, 2, 4], ids=lambda n: f"workers{n}")
+def workers(request):
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def suites(tmp_path_factory):
+def suites(tmp_path_factory, workers):
     root = tmp_path_factory.mktemp("digests")
     dirs = {}
     for key in ALL_SUITE_DIGESTS:
         name, agent, runs = key
         parent = "runs" if key in SUITE_DIGESTS else "unreported"
         out = root / parent / f"{Path(name).stem}_{agent or 'default'}"
-        run_suite(load_demo_config(name, agent, runs, out))
+        run_suite(load_demo_config(name, agent, runs, out, workers))
         dirs[key] = out
     return root, dirs
 
@@ -135,13 +143,13 @@ def write_sliced_script(path: Path) -> Path:
 
 
 @pytest.fixture(scope="module")
-def sliced_suites(tmp_path_factory):
+def sliced_suites(tmp_path_factory, workers):
     root = tmp_path_factory.mktemp("sliced")
     script = write_sliced_script(root / "sliced_keymaze_script.json")
     dirs = {}
     for agent, runs in SLICED_SUITE_DIGESTS:
         out = root / "unreported" / f"sliced_{agent}"
-        config = load_demo_config("keymaze_dora_mock.json", agent, runs, out)
+        config = load_demo_config("keymaze_dora_mock.json", agent, runs, out, workers)
         config.backend = f"mock:{script}"
         config.n_candidates = 4
         run_suite(config)
@@ -178,7 +186,7 @@ INVALID_PULL_SUITE_DIGESTS = {
 
 
 @pytest.fixture(scope="module")
-def invalid_pull_suites(tmp_path_factory):
+def invalid_pull_suites(tmp_path_factory, workers):
     root = tmp_path_factory.mktemp("invalid_pulls")
     script = root / "invalid_pull_bandit_script.json"
     entries = [{"kind": "answer", "text": text} for text in INVALID_PULL_ANSWERS]
@@ -186,7 +194,7 @@ def invalid_pull_suites(tmp_path_factory):
     dirs = {}
     for agent, runs in INVALID_PULL_SUITE_DIGESTS:
         out = root / "unreported" / f"invalid_pulls_{agent}"
-        config = load_demo_config("bandit_dora_mock.json", agent, runs, out)
+        config = load_demo_config("bandit_dora_mock.json", agent, runs, out, workers)
         config.backend = f"mock:{script}"
         config.num_arms = 3
         config.horizon = 40

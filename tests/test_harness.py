@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
 import re
 import select
@@ -345,11 +346,14 @@ class TestBanditSuite:
         run_suite(config)
         assert present == [[f"ucb_run{j:04d}.jsonl" for j in range(i)] for i in range(4)]
 
-    def test_run_file_write_error_escapes(self, tmp_path):
-        config = self.run_config(tmp_path, "out")
-        (Path(config.output_dir) / "ucb_run0001.jsonl").mkdir(parents=True)
-        with pytest.raises(IsADirectoryError):
+    @pytest.mark.parametrize("workers", [1, 2])  # at 2, run 1 is in the forked worker's share
+    def test_run_file_write_error_escapes(self, tmp_path, workers):
+        config = self.run_config(tmp_path, "out", workers=workers)
+        blocked = Path(config.output_dir) / "ucb_run0001.jsonl"
+        blocked.mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as info:
             run_suite(config)
+        assert info.value.filename == str(blocked)
 
     def test_partial_batch_recorded(self, tmp_path):
         # a non-looping script exhausts after the first run's first step
@@ -376,16 +380,63 @@ class TestWorkerDefault:
             raise AssertionError("a GIL-bound suite must not start a thread pool")
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)  # more than one worker
 
-    def test_classical_suite_runs_serially(self, tmp_path, monkeypatch):
+    def spy_on_forks(self, monkeypatch) -> list[int]:
+        """The pid of the process that starts each forked worker, from here on."""
+        process = multiprocessing.get_context("fork").Process
+        start = process.start
+        starts = []
+
+        def spy(worker):
+            starts.append(os.getpid())
+            start(worker)
+
+        monkeypatch.setattr(process, "start", spy)
+        return starts
+
+    def test_classical_suite_starts_no_thread_pool(self, tmp_path, monkeypatch):
         self.forbid_pool(monkeypatch)
         assert not run_suite(self.config(tmp_path, "ucb")).failures
 
-    def test_mock_suite_runs_serially(self, tmp_path, monkeypatch):
+    def test_mock_suite_starts_no_thread_pool(self, tmp_path, monkeypatch):
         self.forbid_pool(monkeypatch)
         script = write_bandit_mock(tmp_path / "script.json")
         config = self.config(tmp_path, "dora", agent="dora_scheduled", backend=f"mock:{script}", runs=2)
         assert not run_suite(config).failures
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="suites fork workers only on Linux")
+    def test_mock_suite_forks_a_process_per_worker_but_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        starts = self.spy_on_forks(monkeypatch)
+        script = write_bandit_mock(tmp_path / "script.json")
+        config = self.config(tmp_path, "dora", agent="dora_scheduled", backend=f"mock:{script}")
+        artifacts = run_suite(config)
+        assert starts == [os.getpid()] * 3
+        assert not artifacts.failures and len(run_files(artifacts)) == config.runs == 6
+
+    def test_one_run_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        starts = self.spy_on_forks(monkeypatch)
+        assert not run_suite(self.config(tmp_path, "ucb", runs=1)).failures
+        assert starts == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="suites fork workers only on Linux")
+    def test_worker_that_exits_without_results_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_send_share", lambda one, share, send: os._exit(7))
+        config = self.config(tmp_path, "ucb", runs=8, workers=2)
+        with pytest.raises(RuntimeError, match=r"runs 1, 3, 5, \.\.\. exited with code 7 "):
+            run_suite(config)
+        assert not (Path(config.output_dir) / "summary.json").exists()
+
+    def test_error_in_the_parents_share_stops_every_worker(self, tmp_path):
+        config = self.config(tmp_path, "ucb", runs=40, horizon=2000, workers=4)
+        blocked = Path(config.output_dir) / "ucb_run0000.jsonl"
+        blocked.mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as info:
+            run_suite(config)
+        assert info.value.filename == str(blocked)
+        assert multiprocessing.active_children() == []
 
     def test_remote_suite_keeps_the_pool(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DORA_API_BASE", "http://127.0.0.1:9")
@@ -416,13 +467,16 @@ class TestWorkerDefault:
             assert tree_bytes(Path(serial.output_dir)) == tree_bytes(Path(pooled.output_dir))
 
     def test_import_does_not_load_the_thread_pool(self):
-        code = "import sys\nimport dora.harness\nprint('concurrent.futures' in sys.modules)"
+        code = (
+            "import sys\nimport dora.harness\n"
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"
+        )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout == "False False\n"
 
 
 HI = ({"role": "user", "content": "hi"},)
@@ -835,6 +889,7 @@ class TestReport:
         "kind,name",
         [
             ("config", "num_arms"),
+            ("config", "gap"),
             ("config", "horizon"),
             ("config", "agent"),
             ("config", "suite"),
@@ -866,6 +921,7 @@ class TestReport:
         [
             ("config", "num_arms", "5"),
             ("config", "num_arms", 0),
+            ("config", "gap", "0.2"),
             ("config", "horizon", True),
             ("config", "horizon", 20.0),
             ("config", "agent", 5),
@@ -949,6 +1005,7 @@ class TestReport:
             ("config", "agent", "a,b"),
             ("config", "agent", ""),
             ("config", "agent", "x" * 65),
+            ("config", "gap", float("nan")),
             ("metrics", "mean_avg_reward", HUGE),
             ("metrics", "cum_regret", float("nan")),
             ("metrics", "best_arm_frac", float("-inf")),
@@ -1032,6 +1089,8 @@ class TestReport:
             ("config", "agent", None),
             ("config", "suite", "chess"),
             ("config", "schema_version", "1"),
+            ("config", "max_steps", None),
+            ("config", "max_steps", 0),
             ("metrics", "score", "0.5"),
             ("metrics", "steps", 5.0),
             ("metrics", "unique_states", False),
@@ -1061,9 +1120,42 @@ class TestReport:
         out = tmp_path / "tables"
         with pytest.raises(ReportError) as info:
             report(runs, out)
-        message = str(info.value)
-        assert "(5, 20)" in message and "(2, 20)" in message
-        assert str(runs / "b_k2") in message and str(runs / "a_k5") in message
+        assert str(info.value) == (
+            f"{runs / 'b_k2' / 'ucb_run0000.jsonl'}: agent 'ucb' has (num_arms, horizon) = "
+            f"(2, 20), but {runs / 'a_k5' / 'ucb_run0000.jsonl'} has (5, 20); report them from "
+            "separate directories"
+        )
+        assert not out.exists()
+
+    def test_one_bandit_agents_runs_of_different_gaps_are_a_report_error(self, tmp_path):
+        runs = tmp_path / "runs"
+        for gap in (0.2, 0.4):
+            config = {"agent": "ucb", "runs": 3, "gap": gap, "output_dir": str(runs / f"gap{gap}")}
+            run_suite(ExperimentConfig.from_dict(config))
+        out = tmp_path / "tables"
+        with pytest.raises(ReportError) as info:
+            report(runs, out)
+        assert str(info.value) == (
+            f"{runs / 'gap0.4' / 'ucb_run0000.jsonl'}: agent 'ucb' has gap = 0.4, but "
+            f"{runs / 'gap0.2' / 'ucb_run0000.jsonl'} has 0.2; report them from separate directories"
+        )
+        assert not out.exists()
+
+    def test_one_keymaze_agents_runs_of_different_max_steps_are_a_report_error(self, tmp_path):
+        runs = tmp_path / "runs"
+        script = write_keymaze_mock(tmp_path / "km.json")
+        for max_steps in (5, 6):
+            config = {"suite": "keymaze", "agent": "llm_temp", "runs": 2, "max_steps": max_steps,
+                      "backend": f"mock:{script}", "output_dir": str(runs / f"steps{max_steps}")}
+            run_suite(ExperimentConfig.from_dict(config))
+        out = tmp_path / "tables"
+        with pytest.raises(ReportError) as info:
+            report(runs, out)
+        assert str(info.value) == (
+            f"{runs / 'steps6' / 'llm_temp_run0000.jsonl'}: agent 'llm_temp' has max_steps = 6, "
+            f"but {runs / 'steps5' / 'llm_temp_run0000.jsonl'} has 5; report them from separate "
+            "directories"
+        )
         assert not out.exists()
 
 
