@@ -10,14 +10,9 @@ the demo quick.
 
 import statistics
 
-from dora import (
-    EpsilonGreedyPolicy,
-    GreedyPolicy,
-    ThompsonPolicy,
-    UcbPolicy,
-    compute_metrics,
-    make_hard_instance,
-    run_bandit,
+from dora.bandit import (
+    EpsilonGreedyPolicy, GreedyPolicy, ThompsonPolicy, UcbPolicy, compute_metrics,
+    make_hard_instance, run_bandit,
 )
 
 RUNS = 200

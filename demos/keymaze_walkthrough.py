@@ -6,7 +6,7 @@ every observation, then sends a stubborn wanderer into the gilded dead-end
 corridor and reports the loop statistics its trajectory produces.
 """
 
-from dora import KeyMazeWorld, loop_stats
+from dora.textenv import KeyMazeWorld, loop_stats
 from dora.agent import EpisodeLog, StepRecord
 from dora.policy import Mode
 

@@ -8,7 +8,8 @@ turns into increasingly peaked sampling distributions as lambda grows.
 
 import numpy as np
 
-from dora import LambdaSchedule, lambda_exp, lambda_probabilities
+from dora.lambda_control import LambdaSchedule, lambda_exp
+from dora.scoring import lambda_probabilities
 
 schedule = LambdaSchedule(lambda_min=0.0, lambda_max=40.0, k=5.0, horizon=200)
 

@@ -11,16 +11,10 @@ candidate table.
 
 import numpy as np
 
-from dora import (
-    DoraParams,
-    KeyMazeWorld,
-    LambdaSchedule,
-    MockPolicy,
-    ScheduledLambda,
-    ScriptEntry,
-    run_episode,
-    unique_states,
-)
+from dora.agent import DoraParams, run_episode
+from dora.lambda_control import LambdaSchedule, ScheduledLambda
+from dora.policy import MockPolicy, ScriptEntry
+from dora.textenv import KeyMazeWorld, unique_states
 
 CANDIDATES = [
     "go north", "go south", "go east", "go west",

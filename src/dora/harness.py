@@ -10,6 +10,8 @@ reproducible from (config, master_seed).
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import functools
 import json
 import math
@@ -225,8 +227,9 @@ class ExperimentConfig:
         parsed = functools.cache(lambda: MockPolicy.from_file(script))
         return lambda: parsed().fresh()
 
-    def dora_params(self, greedy_kind: PromptKind) -> DoraParams:
-        return DoraParams(n_candidates=self.n_candidates, alpha=self.alpha, greedy_kind=greedy_kind)
+    def dora_params(self) -> DoraParams:
+        greedy = PromptKind.MAB_ANSWER if self.suite == "bandit" else PromptKind.GREEDY_ACTION
+        return DoraParams(n_candidates=self.n_candidates, alpha=self.alpha, greedy_kind=greedy)
 
     def temperature_schedule(self, horizon: int) -> Callable[[int], float]:
         """The temperature baseline's tau(t): constant, or decaying to 0 over ``horizon``."""
@@ -262,10 +265,36 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines += [",".join(fmt(cell) for cell in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def _write_tables(tables) -> list[Path]:
+    """Write each ``(path, text)`` of ``tables`` to ``<path>.tmp``, then rename
+    them all into place and return the paths: an error leaves no table and no
+    temporary. An existing path that is not a regular file is refused, and an
+    OSError names the table, not its temporary."""
+    moves: list[tuple[Path, Path]] = []
+    path = None
+    try:
+        for path, text in tables:
+            if path.exists() and not path.is_file():
+                raise OSError(errno.EEXIST, "not a regular file")
+            temp = path.with_name(path.name + ".tmp")
+            moves.append((temp, path))
+            temp.write_text(text, encoding="utf-8")
+        for temp, path in moves:
+            temp.replace(path)
+    except BaseException as exc:
+        for temp, _ in moves:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+        raise
+    return [path for _, path in moves]
 
 
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -356,7 +385,7 @@ def _bandit_step_text(run: BanditRun, run_index: int) -> list[str]:
 
 def _run_backend_agent(
     config: ExperimentConfig, backend_factory, env, max_steps: int, seed: int,
-    greedy_kind: PromptKind, context_builder=None, parse_action=first_action,
+    context_builder=None, parse_action=first_action,
 ) -> EpisodeLog | None:
     """One episode of a backend agent on ``env``: the temperature baseline
     (``llm_temp``) or DORA, which samples from the ``[seed, 2]`` stream.
@@ -367,7 +396,7 @@ def _run_backend_agent(
     agents' are. The planned schema v2 (see ROADMAP) writes them from the records.
     """
     backend = backend_factory()
-    params = config.dora_params(greedy_kind)
+    params = config.dora_params()
     if config.agent == "llm_temp":
         tau = config.temperature_schedule(max_steps)
         step = temperature_step(backend, params, tau, context_builder, parse_action)
@@ -395,8 +424,8 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
     else:
         env = BanditEnv(instance, seed)
         episode = _run_backend_agent(
-            config, backend_factory, env, config.horizon, seed, PromptKind.MAB_ANSWER,
-            make_mab_context_builder(instance), answer_action,
+            config, backend_factory, env, config.horizon, seed, make_mab_context_builder(instance),
+            answer_action,
         )
         run = env.to_run()
 
@@ -436,9 +465,7 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
     seed = config.master_seed + run_index
     world = KeyMazeWorld.from_file(config.world) if config.world else KeyMazeWorld()
     max_steps = config.max_steps or world.horizon
-    episode = _run_backend_agent(
-        config, backend_factory, world, max_steps, seed, PromptKind.GREEDY_ACTION
-    )
+    episode = _run_backend_agent(config, backend_factory, world, max_steps, seed)
 
     stats = loop_stats(episode)
     step_text = [
@@ -459,6 +486,24 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
 
 
 # --- suite driver ---------------------------------------------------------------
+
+
+def _check_mock_script(config: ExperimentConfig, backend_factory) -> None:
+    """Refuse a mock script that parses but holds no reply of the kind the agent
+    asks on every step; a script that does not parse is left to fail every run."""
+    if config.agent not in BACKEND_AGENTS or not config.backend.startswith("mock:"):
+        return
+    try:
+        mock = backend_factory()
+    except Exception:  # noqa: BLE001 - each run raises it again and is recorded
+        return
+    greedy = config.dora_params().greedy_kind
+    kind = greedy if config.agent == "llm_temp" else PromptKind.MODE_DECISION
+    if not mock.serves(kind):
+        raise ConfigError(
+            f"mock script {config.backend.split(':', 1)[1]} holds no {kind.value!r} reply, "
+            f"which agent {config.agent!r} asks for on every step"
+        )
 
 
 def _send_share(one, share: range, send) -> None:
@@ -535,18 +580,20 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
 
     Each run writes its JSONL file as soon as it ends, so only the metrics
     of finished runs stay in memory; an error writing the file escapes, but
-    an ``output_dir`` that cannot be made a directory is a
-    :class:`ConfigError` before any run starts. Before the first run, the
-    agent's run files and the aggregate and plot CSVs that an earlier suite
-    left in ``output_dir`` are removed (regular files only), so ``report``
-    never reads them with this suite's. The aggregate CSV, the plot CSVs and
-    summary.json are written after the last run, from the metrics in run
+    an ``output_dir`` that cannot be made a directory, or a mock script that
+    :func:`_check_mock_script` refuses, is a :class:`ConfigError` before any
+    run starts. Before the first run, the agent's run files and the aggregate
+    and plot CSVs that an earlier suite left in ``output_dir`` are removed
+    (regular files only), so ``report`` never reads them with this suite's.
+    The aggregate CSV, the plot CSVs and summary.json are written after the
+    last run, all or nothing (:func:`_write_tables`), from the metrics in run
     order. Repeated invocations with the same config and master seed
     therefore produce identical bytes for mock and classical agents,
     whatever the worker count.
     """
     config.validate()
     backend_factory = config.backend_factory()
+    _check_mock_script(config, backend_factory)
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -582,19 +629,17 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
 
     metrics = [metrics_dict for metrics_dict, failure in results if failure is None]
     failures = [failure for _, failure in results if failure is not None]
+    tables: list[tuple[Path, str]] = []
     if metrics:
         if config.suite == "bandit":
             header, row = BANDIT_HEADER, _bandit_aggregate_rows(config.agent, metrics)
-            _write_bandit_plots(
-                metrics,
-                config.num_arms,
-                config.horizon,
-                out / "plot_arm_selection.csv",
-                out / "plot_best_arm_fraction.csv",
+            tables += _bandit_plots(
+                metrics, config.num_arms, config.horizon,
+                out / "plot_arm_selection.csv", out / "plot_best_arm_fraction.csv",
             )
         else:
             header, row = KEYMAZE_HEADER, _keymaze_aggregate_rows(config.agent, metrics)
-        _write_csv(out / "aggregate.csv", header, [row])
+        tables.append((out / "aggregate.csv", _csv_text(header, [row])))
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -606,7 +651,8 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
         "master_seed": config.master_seed,
         "incomplete": bool(failures),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    tables.append((out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"))
+    _write_tables(tables)
 
     return RunArtifacts(out, metrics, failures)
 
@@ -686,26 +732,28 @@ def _plot_series(metrics: list[dict], num_arms: int, horizon: int):
     return t, cum / n, invalid / n, best_frac / n
 
 
-def _write_bandit_plots(
+def _bandit_plots(
     metrics: list[dict], num_arms: int, horizon: int, arm_path: Path, frac_path: Path
-) -> None:
-    """Write the arm-selection and best-arm-fraction plot CSVs of one agent's runs.
-
-    Arms past the named colors are headed ``arm5``, ``arm6``, ...
+) -> list[tuple[Path, str]]:
+    """The arm-selection and best-arm-fraction plot CSVs of one agent's runs,
+    as ``(path, text)`` pairs. Arms past the named colors are headed ``arm5``,
+    ``arm6``, ...
     """
     colors = list(ARM_COLORS[:num_arms]) + [f"arm{i}" for i in range(len(ARM_COLORS), num_arms)]
     t, cum, invalid, best_frac = _plot_series(metrics, num_arms, horizon)
-    _write_series(arm_path, ["t", *colors, "invalid"], [t, cum, invalid])
-    _write_series(frac_path, ["t", "best_arm_frac"], [t, best_frac])
+    return [
+        (arm_path, _series_text(["t", *colors, "invalid"], [t, cum, invalid])),
+        (frac_path, _series_text(["t", "best_arm_frac"], [t, best_frac])),
+    ]
 
 
-def _write_series(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _series_text(header: list[str], columns: list[np.ndarray]) -> str:
     """A plot CSV: the integer step ``t`` first, then float cells written as
     :func:`fmt` writes them (``%.6g``), one row per step."""
     rows = np.column_stack(columns).tolist()
     row = "%d" + ",%.6g" * (len(rows[0]) - 1)
     lines = [",".join(header), *(row % tuple(cells) for cells in rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 # --- reporting -------------------------------------------------------------------
@@ -951,9 +999,10 @@ def report(input_dir, output_dir) -> list[Path]:
     not fit its ``(num_arms, horizon)``, its arm-selection plot would pass
     :data:`MAX_PLOT_CELLS`, one bandit agent's runs differ in ``(num_arms,
     horizon)`` or in ``gap``, one KeyMaze agent's runs differ in
-    ``max_steps``, ``output_dir`` cannot be made a directory, or a table or plot
-    path exists and is not a regular file; and, naming the file, when a table
-    or plot cannot be written, which can leave the tables written before it.
+    ``max_steps``, or ``output_dir`` cannot be made a directory; and, naming
+    the file, when a table or plot path exists and is not a regular file or
+    cannot be written. The tables are written all or nothing (see
+    :func:`_write_tables`), so a report error leaves no table.
     """
     input_dir = Path(input_dir)
     paths = sorted(input_dir.glob("**/*.jsonl"))
@@ -998,40 +1047,24 @@ def report(input_dir, output_dir) -> list[Path]:
         raise ReportError(f"cannot create output directory {out}: {exc}") from exc
     shapes = {agent: firsts[agent, _SHAPE][0] for agent in bandit_metrics}
     try:
-        return _write_report(out, bandit_metrics, shapes, keymaze_metrics)
+        return _write_tables(_report_tables(out, bandit_metrics, shapes, keymaze_metrics))
     except OSError as exc:
         raise ReportError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
 
 
-def _write_report(out: Path, bandit_metrics, shapes, keymaze_metrics) -> list[Path]:
-    """Write the tables and plots and return their paths, in the order
-    written. A path that exists and is not a regular file (a directory, say)
-    is refused before any file is written."""
-    bandit_agents = sorted(bandit_metrics)
-    plots = [
-        (out / f"arm_selection_{agent}.csv", out / f"best_arm_fraction_{agent}.csv")
-        for agent in bandit_agents
-    ]
-    paths = [
-        *([out / "metric_table.csv"] if bandit_metrics else []),
-        *(path for pair in plots for path in pair),
-        *([out / "loops_table.csv"] if keymaze_metrics else []),
-    ]
-    for path in paths:
-        if path.exists() and not path.is_file():
-            raise ReportError(f"cannot write {path}: not a regular file")
-
+def _report_tables(out: Path, bandit_metrics, shapes, keymaze_metrics):
+    """The tables and plots of a report as ``(path, text)`` pairs, each one
+    built when it is taken."""
     if bandit_metrics:
-        rows = [_bandit_aggregate_rows(agent, bandit_metrics[agent]) for agent in bandit_agents]
-        _write_csv(paths[0], BANDIT_HEADER, rows)
-        for agent, (arm_path, frac_path) in zip(bandit_agents, plots):
-            _write_bandit_plots(bandit_metrics[agent], *shapes[agent], arm_path, frac_path)
-
+        agents = sorted(bandit_metrics)
+        rows = [_bandit_aggregate_rows(agent, bandit_metrics[agent]) for agent in agents]
+        yield out / "metric_table.csv", _csv_text(BANDIT_HEADER, rows)
+        for agent in agents:
+            yield from _bandit_plots(
+                bandit_metrics[agent], *shapes[agent],
+                out / f"arm_selection_{agent}.csv", out / f"best_arm_fraction_{agent}.csv",
+            )
     if keymaze_metrics:
-        rows = [
-            _keymaze_aggregate_rows(agent, keymaze_metrics[agent])
-            for agent in sorted(keymaze_metrics)
-        ]
-        _write_csv(paths[-1], KEYMAZE_HEADER, rows)
-
-    return paths
+        agents = sorted(keymaze_metrics)
+        rows = [_keymaze_aggregate_rows(agent, keymaze_metrics[agent]) for agent in agents]
+        yield out / "loops_table.csv", _csv_text(KEYMAZE_HEADER, rows)

@@ -404,6 +404,10 @@ class MockPolicy(PolicyBackend):
             )
         return cls(entries, spec.get("rescores"), bool(spec.get("loop", False)))
 
+    def serves(self, kind: PromptKind) -> bool:
+        """Whether the script holds a reply of ``kind``."""
+        return bool(self._scripted[kind])
+
     @property
     def supports_rescoring(self) -> bool:
         return self._rescores is not None

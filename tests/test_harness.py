@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import multiprocessing
@@ -221,18 +222,13 @@ class TestPlotCsv:
         for got, expected in zip(series, plot_series_by_run(*drawn)):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
-    @settings(
-        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-    )
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=20))
-    def test_rows_are_written_as_fmt_writes_cells(self, tmp_path, rows):
+    def test_rows_are_written_as_fmt_writes_cells(self, rows):
         header = ["t", "a", "b", "c"]
-        harness._write_series(
-            tmp_path / "series.csv", header, [np.arange(1, len(rows) + 1), np.array(rows)]
-        )
+        series = harness._series_text(header, [np.arange(1, len(rows) + 1), np.array(rows)])
         cells = [[t, *row] for t, row in enumerate(rows, 1)]
-        harness._write_csv(tmp_path / "cells.csv", header, cells)
-        assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        assert series == harness._csv_text(header, cells)
 
 
 class TestBanditSuite:
@@ -479,6 +475,23 @@ class TestWorkerDefault:
         assert done.stdout == "False False\n"
 
 
+class TestPackageRoot:
+    def test_root_re_exports_nothing(self):
+        code = (
+            "import sys\nimport dora\n"
+            "print([m for m in sys.modules if m.startswith('dora.')], 'numpy' in sys.modules)\n"
+            "print(dora.__version__)\n"
+            "try:\n    from dora import score_candidates\n"
+            "except ImportError:\n    print('ImportError')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[] False\n0.1.0\nImportError\n"
+
+
 HI = ({"role": "user", "content": "hi"},)
 
 
@@ -608,6 +621,94 @@ class TestBadMockScript:
         code = main(["bandit", "run", *args, "--out", str(tmp_path / "out")])
         assert code == 3
         assert f"run 1 failed ({kind})" in capsys.readouterr().out
+
+
+# Scripts that parse but serve no reply of the kind the agent asks on every step.
+UNSERVING_SCRIPTS = {
+    "no_entries": {"entries": []},
+    "candidates_only": {"entries": [{"kind": "candidates", "text": "press red button"}]},
+}
+
+
+class TestMockScriptServesTheAgent:
+    @pytest.mark.parametrize("name", list(UNSERVING_SCRIPTS))
+    def test_dora_script_without_mode_is_config_error(self, tmp_path, name, capsys):
+        script = tmp_path / f"{name}.json"
+        script.write_text(json.dumps(UNSERVING_SCRIPTS[name]))
+        out = tmp_path / "out"
+        command = ["bandit", "run", "--config", str(CONFIGS / "bandit_dora_mock.json"),
+                   "--backend", f"mock:{script}", "--runs", "2", "--out", str(out)]
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: mock script {script} holds no 'mode' reply, which agent "
+            "'dora_scheduled' asks for on every step\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite,scripted,asked", [("bandit", "greedy", "answer"), ("keymaze", "answer", "greedy")]
+    )
+    def test_llm_temp_script_without_its_greedy_kind_is_config_error(
+        self, tmp_path, suite, scripted, asked
+    ):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"loop": True, "entries": [{"kind": scripted, "text": "x"}]}))
+        config = ExperimentConfig.from_dict(
+            {"suite": suite, "agent": "llm_temp", "runs": 2, "max_steps": 3, "horizon": 3,
+             "backend": f"mock:{script}", "output_dir": str(tmp_path / "out")}
+        )
+        with pytest.raises(ConfigError, match=f"holds no {asked!r} reply"):
+            run_suite(config)
+        assert not (tmp_path / "out").exists()
+
+
+def fail_second_write(monkeypatch, is_table) -> list[Path]:
+    """Make the second ``Path.write_text`` call on a path that ``is_table``
+    fail as a full disk would; returns every such path written to."""
+    written: list[Path] = []
+    write_text = Path.write_text
+
+    def failing(self, *args, **kwargs):
+        if is_table(self):
+            written.append(self)
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    return written
+
+
+class TestTablesAllOrNothing:
+    def test_report_that_fails_a_later_table_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+        runs, out = tmp_path / "runs", tmp_path / "tables"
+        main(["bandit", "run", "--agent", "ucb", "--runs", "2", "--out", str(runs)])
+        written = fail_second_write(monkeypatch, lambda path: path.parent == out)
+        capsys.readouterr()
+        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"report error: cannot write {out / 'arm_selection_ucb.csv'}: No space left on device\n"
+        )
+        assert len(written) == 2
+        assert list(out.iterdir()) == []
+
+    def test_suite_that_fails_a_later_table_leaves_no_table(self, tmp_path, monkeypatch):
+        out = tmp_path / "runs"
+        config = ExperimentConfig.from_dict(
+            {"agent": "ucb", "runs": 2, "horizon": 20, "workers": 1, "output_dir": str(out)}
+        )
+        written = fail_second_write(monkeypatch, lambda path: path.suffix != ".jsonl")
+        with pytest.raises(OSError) as caught:
+            run_suite(config)
+        assert caught.value.filename == str(out / "plot_best_arm_fraction.csv")
+        assert len(written) == 2
+        assert sorted(path.name for path in out.iterdir()) == [
+            "ucb_run0000.jsonl", "ucb_run0001.jsonl"
+        ]
 
 
 class TestKeymazeSuite:
@@ -2113,10 +2214,10 @@ class TestCli:
     def test_rerun_whose_every_run_fails_leaves_no_earlier_output(self, tmp_path):
         runs = tmp_path / "runs"
         run_suite(demo_config("bandit_dora_mock.json", 2, runs))
-        empty = tmp_path / "empty.json"
-        empty.write_text('{"entries": []}')
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_SCRIPTS["unknown_kind"][0])
         command = ["bandit", "run", "--config", str(CONFIGS / "bandit_dora_mock.json"),
-                   "--backend", f"mock:{empty}", "--runs", "2", "--out", str(runs)]
+                   "--backend", f"mock:{bad}", "--runs", "2", "--out", str(runs)]
         assert main(command) == 3
         assert json.loads((runs / "summary.json").read_text())["completed"] == 0
         assert [path.name for path in runs.iterdir()] == ["summary.json"]
