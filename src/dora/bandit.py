@@ -25,10 +25,10 @@ import numpy as np
 from . import prompts
 from .agent import DoraParams, HistoryTriple
 from .lambda_control import LambdaSchedule, lambda_exp
+from .prompts import ARM_COLORS
 from .scoring import lambda_probabilities, sample_categorical
 from .textenv import EnvError, TextEnvStep
 
-ARM_COLORS = ("blue", "green", "red", "yellow", "purple")
 INVALID_PULL = -1
 
 # Bit-exact apart from the color's case and surrounding whitespace.

@@ -50,7 +50,9 @@ from .bandit import (
     run_bandit,
 )
 from .lambda_control import MAX_GROWTH_K, LambdaSchedule, PolicySampledLambda, ScheduledLambda
-from .policy import BackendError, MockPolicy, Mode, PromptKind, RemotePolicy, first_action
+from .policy import (
+    BackendError, MockPolicy, MockScriptError, Mode, PromptKind, RemotePolicy, first_action,
+)
 from .textenv import KeyMazeWorld, loop_stats
 
 SCHEMA_VERSION = 1
@@ -205,27 +207,39 @@ class ExperimentConfig:
             script = self.backend.split(":", 1)[1]
             if not Path(script).is_file():
                 raise ConfigError(f"mock script not found: {script}")
-        if self.world is not None and not Path(self.world).is_file():
-            raise ConfigError(f"world file not found: {self.world}")
+        if self.world is not None:
+            try:
+                KeyMazeWorld.from_file(self.world)
+            except (OSError, ValueError, RecursionError) as exc:
+                raise ConfigError(f"cannot read world {self.world}: {exc}") from exc
 
     def backend_factory(self):
-        """Fresh backend per run (the mock is single-episode by contract).
+        """What each run takes a fresh backend from, or None for classical agents.
 
-        The mock script is read on the first call and every call returns a
-        fresh mock over it. A script that fails to parse is not cached, so
-        each run re-raises the same error and is recorded as failed.
-        """
-        if self.backend is None:
+        Set up once, before any run: a remote endpoint that is not configured,
+        or a mock script that cannot be read, has the wrong shape or cannot
+        serve the agent, is a :class:`ConfigError`."""
+        if self.agent in CLASSICAL_AGENTS:
             return None
         if self.backend == "remote":
             try:
                 RemotePolicy()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            return lambda: RemotePolicy()
+            return RemotePolicy
         script = self.backend.split(":", 1)[1]
-        parsed = functools.cache(lambda: MockPolicy.from_file(script))
-        return lambda: parsed().fresh()
+        try:
+            mock = MockPolicy.from_file(script)
+        except (OSError, ValueError, RecursionError, MockScriptError) as exc:
+            raise ConfigError(f"cannot read mock script {script}: {exc}") from exc
+        greedy = self.dora_params().greedy_kind
+        kind = greedy if self.agent == "llm_temp" else PromptKind.MODE_DECISION
+        if not mock.serves(kind):
+            raise ConfigError(
+                f"mock script {script} holds no {kind.value!r} reply, "
+                f"which agent {self.agent!r} asks for on every step"
+            )
+        return mock.fresh
 
     def dora_params(self) -> DoraParams:
         greedy = PromptKind.MAB_ANSWER if self.suite == "bandit" else PromptKind.GREEDY_ACTION
@@ -488,24 +502,6 @@ def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
 # --- suite driver ---------------------------------------------------------------
 
 
-def _check_mock_script(config: ExperimentConfig, backend_factory) -> None:
-    """Refuse a mock script that parses but holds no reply of the kind the agent
-    asks on every step; a script that does not parse is left to fail every run."""
-    if config.agent not in BACKEND_AGENTS or not config.backend.startswith("mock:"):
-        return
-    try:
-        mock = backend_factory()
-    except Exception:  # noqa: BLE001 - each run raises it again and is recorded
-        return
-    greedy = config.dora_params().greedy_kind
-    kind = greedy if config.agent == "llm_temp" else PromptKind.MODE_DECISION
-    if not mock.serves(kind):
-        raise ConfigError(
-            f"mock script {config.backend.split(':', 1)[1]} holds no {kind.value!r} reply, "
-            f"which agent {config.agent!r} asks for on every step"
-        )
-
-
 def _send_share(one, share: range, send) -> None:
     """In a worker process: ``one(i)`` for each run of ``share``, sent to the
     parent as one list, or the OSError that stopped them (a run file that
@@ -580,20 +576,19 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
 
     Each run writes its JSONL file as soon as it ends, so only the metrics
     of finished runs stay in memory; an error writing the file escapes, but
-    an ``output_dir`` that cannot be made a directory, or a mock script that
-    :func:`_check_mock_script` refuses, is a :class:`ConfigError` before any
-    run starts. Before the first run, the agent's run files and the aggregate
-    and plot CSVs that an earlier suite left in ``output_dir`` are removed
-    (regular files only), so ``report`` never reads them with this suite's.
-    The aggregate CSV, the plot CSVs and summary.json are written after the
-    last run, all or nothing (:func:`_write_tables`), from the metrics in run
-    order. Repeated invocations with the same config and master seed
-    therefore produce identical bytes for mock and classical agents,
-    whatever the worker count.
+    a backend that :meth:`ExperimentConfig.backend_factory` refuses, or an
+    ``output_dir`` that cannot be made a directory, is a :class:`ConfigError`
+    before any run starts; a run that fails is recorded. Before the first run,
+    the agent's run files and the aggregate and plot CSVs that an earlier
+    suite left in ``output_dir`` are removed (regular files only), so
+    ``report`` never reads them with this suite's. The aggregate CSV, the
+    plot CSVs and summary.json are written after the last run, all or
+    nothing (:func:`_write_tables`), from the metrics in run order. Repeated
+    invocations with the same config and master seed therefore produce
+    identical bytes for mock and classical agents, whatever the worker count.
     """
     config.validate()
     backend_factory = config.backend_factory()
-    _check_mock_script(config, backend_factory)
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

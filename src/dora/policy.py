@@ -26,6 +26,7 @@ import json
 import math
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -46,7 +47,7 @@ class BackendError(Exception):
 
 
 class MockScriptError(RuntimeError):
-    """The scripted mock was driven outside its script."""
+    """A mock script of the wrong shape, or a mock driven outside its script."""
 
 
 class ScriptExhaustedError(MockScriptError):
@@ -296,7 +297,19 @@ def greedy_action(
 
 # --- deterministic scripted mock -------------------------------------------
 
-_KIND_ALIASES = {kind.value: kind for kind in PromptKind}
+_KINDS = tuple(kind.value for kind in PromptKind)
+
+
+def _is_number(value) -> bool:
+    """Whether a decoded JSON value is a number that a float holds (a bool is not)."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _is_token_pair(value) -> bool:
+    """Whether a decoded JSON value is a ``[token, log-probability]`` pair."""
+    return (
+        type(value) is list and len(value) == 2 and type(value[0]) is str and _is_number(value[1])
+    )
 
 
 @dataclass(frozen=True)
@@ -386,23 +399,30 @@ class MockPolicy(PolicyBackend):
 
     @classmethod
     def from_file(cls, path) -> "MockPolicy":
+        """Parse a mock script; a part of the wrong shape is a :class:`MockScriptError`."""
         with open(path, "r", encoding="utf-8") as fp:
             spec = json.load(fp)
+        if not isinstance(spec, dict) or not isinstance(spec.get("entries", []), list):
+            raise MockScriptError("a script must be an object whose 'entries' is a list")
         entries = []
-        for item in spec.get("entries", []):
-            kind = _KIND_ALIASES.get(item.get("kind"))
-            if kind is None:
-                raise MockScriptError(f"unknown script entry kind {item.get('kind')!r} in {path}")
-            lps = item.get("token_logprobs")
-            entries.append(
-                ScriptEntry(
-                    kind,
-                    item["text"],
-                    tuple((t, float(lp)) for t, lp in lps) if lps else None,
-                    item.get("token_count"),
-                )
-            )
-        return cls(entries, spec.get("rescores"), bool(spec.get("loop", False)))
+        for i, item in enumerate(spec.get("entries", [])):
+            kind = item.get("kind") if isinstance(item, dict) else None
+            if kind not in _KINDS or type(item.get("text")) is not str:
+                raise MockScriptError(f"entry {i} lacks a string 'text' or a 'kind' in {_KINDS}")
+            lps, count = item.get("token_logprobs") or None, item.get("token_count")
+            if lps is not None and not (isinstance(lps, list) and all(map(_is_token_pair, lps))):
+                raise MockScriptError(f"entry {i}: token_logprobs must be [token, number] pairs")
+            if count is not None and not (type(count) is int and count >= 0):
+                raise MockScriptError(f"entry {i}: token_count must be an integer >= 0")
+            lps = tuple((t, float(lp)) for t, lp in lps) if lps else None
+            entries.append(ScriptEntry(PromptKind(kind), item["text"], lps, count))
+        rescores = spec.get("rescores")
+        if rescores is not None and not (
+            isinstance(rescores, dict)
+            and all(isinstance(v, list) and all(map(_is_number, v)) for v in rescores.values())
+        ):
+            raise MockScriptError("rescores must map actions to lists of numbers")
+        return cls(entries, rescores, bool(spec.get("loop", False)))
 
     def serves(self, kind: PromptKind) -> bool:
         """Whether the script holds a reply of ``kind``."""

@@ -2,7 +2,7 @@
 
 Templates use ``{name}`` placeholders filled with :func:`str.replace` rather
 than ``str.format`` so that literal braces in the template bodies (JSON
-shapes, color lists) survive untouched.
+shapes) survive untouched.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ ASSET_NAMES = (
     "candidate_generation",
     "lambda_decision",
 )
+
+# The bandit arms' names: arm i is the ARM_COLORS[i] button.
+ARM_COLORS = ("blue", "green", "red", "yellow", "purple")
 
 _cache: dict[str, str] = {}
 
@@ -39,12 +42,20 @@ def _fill(template: str, mapping: dict[str, object]) -> str:
     return out
 
 
+def _color_set(colors) -> str:
+    """The buttons a reply may name, as the prompts list them: ``{blue, green}``."""
+    return "{" + ", ".join(colors) + "}"
+
+
 def mab_system(num_arms: int, horizon: int) -> str:
-    return _fill(load("mab_system"), {"K": num_arms, "T": horizon})
+    """The system prompt of a ``num_arms`` instance, naming its first ``num_arms`` colors."""
+    colors = _color_set(ARM_COLORS[:num_arms])
+    return _fill(load("mab_system"), {"K": num_arms, "T": horizon, "colors": colors})
 
 
 def mab_history(step_count: int, counts, avg_rewards, colors) -> str:
-    """Summarized per-button history: counts always, averages only once pressed."""
+    """Summarized per-button history: counts always, averages only once pressed.
+    The answer format names ``colors``, the instance's buttons."""
     lines = []
     for color, n, avg in zip(colors, counts, avg_rewards):
         label = color.capitalize()
@@ -52,7 +63,8 @@ def mab_history(step_count: int, counts, avg_rewards, colors) -> str:
             lines.append(f"- {label} button: pressed {int(n)} times, average reward {avg:.2f}")
         else:
             lines.append(f"- {label} button: pressed 0 times")
-    return _fill(load("mab_history"), {"t": step_count, "summary": "\n".join(lines)})
+    mapping = {"t": step_count, "colors": _color_set(colors), "summary": "\n".join(lines)}
+    return _fill(load("mab_history"), mapping)
 
 
 def mode_decision() -> str:

@@ -74,12 +74,23 @@ class KeyMazeWorld:
 
     @staticmethod
     def _check_definition(d: dict) -> None:
+        """Raise ValueError unless ``d`` is an object with ``rooms``, a ``start``
+        room among them and a ``goal``, whose reward events sum to 0 or 1."""
+        if not isinstance(d, dict):
+            raise ValueError("world definition must be a JSON object")
         for field in ("rooms", "start", "goal"):
             if field not in d:
                 raise ValueError(f"world definition missing {field!r}")
+        if not isinstance(d["rooms"], dict) or type(d["start"]) is not str:
+            raise ValueError("world rooms must be an object and start a room name")
         if d["start"] not in d["rooms"]:
             raise ValueError(f"start room {d['start']!r} not defined")
-        total = sum(d.get("rewards", {}).values())
+        rewards = d.get("rewards", {})
+        if not isinstance(rewards, dict) or not all(
+            type(v) in (int, float) for v in rewards.values()
+        ):
+            raise ValueError("world rewards must map events to numbers")
+        total = sum(rewards.values())
         if total and abs(total - 1.0) > 1e-9:
             raise ValueError(f"reward events must sum to 1.0 for a normalized score, got {total}")
 

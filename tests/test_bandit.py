@@ -444,6 +444,15 @@ class TestBanditEnv:
         assert "you have taken 1 actions" in step.observation
         assert step.valid_action is True
 
+    def test_three_arm_prompts_name_only_its_three_colors(self):
+        instance = make_hard_instance(3, 0.2, 10, seed=43)
+        system = make_mab_context_builder(instance)((), "", DoraParams())[0]["content"]
+        observation = BanditEnv(instance, seed=43).reset()
+        assert "interacting with 3 buttons labeled {blue, green, red}." in system
+        for text in (system, observation):
+            assert text.endswith("where COLOR is one of {blue, green, red}.\n")
+            assert "yellow" not in text and "purple" not in text
+
     def test_invalid_action_counts_against_horizon(self):
         instance = make_hard_instance(5, 0.2, 3, seed=47)
         env = BanditEnv(instance, seed=47)

@@ -527,7 +527,7 @@ class TestMockBackendFactory:
 
         monkeypatch.setattr(harness.MockPolicy, "from_file", counted)
         make = self.factory(tmp_path, write_bandit_mock(tmp_path / "script.json"))
-        assert reads == []
+        assert len(reads) == 1
         mocks = [make() for _ in range(3)]
         assert len(reads) == 1 and len({id(m) for m in mocks}) == 3
 
@@ -576,16 +576,44 @@ class TestMockBackendFactory:
         assert tree_bytes(dirs[0]) == tree_bytes(dirs[1])
 
 
+KINDS = "('mode', 'candidates', 'greedy', 'lambda', 'answer')"
+MODE = {"kind": "mode", "text": '{"mode":"EXPLORE"}'}
+
+# Mock scripts that cannot be read, each with what the config error says after
+# "cannot read mock script <file>: ".
 BAD_SCRIPTS = {
-    "unknown_kind": (
-        '{"loop": true, "entries": [{"kind": "mode", "text": "x"}, {"kind": "bogus", "text": "y"}]}',
-        "MockScriptError",
-        "unknown script entry kind 'bogus' in {path}",
+    "not_json": ('{"loop": true, "entries": [', "Expecting value: line 1 column 28 (char 27)"),
+    "top_level_array": ("[]", "a script must be an object whose 'entries' is a list"),
+    "entries_not_a_list": (
+        json.dumps({"entries": MODE}), "a script must be an object whose 'entries' is a list"
     ),
-    "not_json": (
-        '{"loop": true, "entries": [',
-        "JSONDecodeError",
-        "Expecting value: line 1 column 28 (char 27)",
+    "entry_not_an_object": (
+        json.dumps({"entries": [MODE, "mode"]}),
+        f"entry 1 lacks a string 'text' or a 'kind' in {KINDS}",
+    ),
+    "entry_without_text": (
+        json.dumps({"entries": [{"kind": "mode"}]}),
+        f"entry 0 lacks a string 'text' or a 'kind' in {KINDS}",
+    ),
+    "text_not_a_string": (
+        json.dumps({"entries": [MODE, {"kind": "candidates", "text": ["look"]}]}),
+        f"entry 1 lacks a string 'text' or a 'kind' in {KINDS}",
+    ),
+    "unknown_kind": (
+        json.dumps({"loop": True, "entries": [MODE, {"kind": "bogus", "text": "y"}]}),
+        f"entry 1 lacks a string 'text' or a 'kind' in {KINDS}",
+    ),
+    "token_logprobs_not_pairs": (
+        json.dumps({"entries": [MODE, {"kind": "candidates", "text": "a", "token_logprobs": 5}]}),
+        "entry 1: token_logprobs must be [token, number] pairs",
+    ),
+    "token_count_below_zero": (
+        json.dumps({"entries": [dict(MODE, token_count=-1)]}),
+        "entry 0: token_count must be an integer >= 0",
+    ),
+    "rescores_not_lists": (
+        json.dumps({"rescores": {"look": -0.5}, "entries": [MODE]}),
+        "rescores must map actions to lists of numbers",
     ),
 }
 
@@ -593,8 +621,8 @@ BAD_SCRIPTS = {
 class TestBadMockScript:
     @pytest.mark.parametrize("workers", [None, 3])
     @pytest.mark.parametrize("name", list(BAD_SCRIPTS))
-    def test_every_run_fails_and_is_recorded(self, tmp_path, name, workers):
-        text, kind, message = BAD_SCRIPTS[name]
+    def test_run_suite_refuses_it_before_any_run(self, tmp_path, name, workers):
+        text, message = BAD_SCRIPTS[name]
         script = tmp_path / f"{name}.json"
         script.write_text(text)
         config = {
@@ -605,22 +633,73 @@ class TestBadMockScript:
             "backend": f"mock:{script}",
             "output_dir": str(tmp_path / "out"),
         }
-        artifacts = run_suite(ExperimentConfig.from_dict(config))
-        assert artifacts.failures and run_files(artifacts) == []
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        error = message.format(path=script)
-        assert summary["failures"] == [{"run": i, "kind": kind, "error": error} for i in range(3)]
-        assert summary["incomplete"] is True and summary["completed"] == 0
+        with pytest.raises(ConfigError) as refused:
+            run_suite(ExperimentConfig.from_dict(config))
+        assert str(refused.value) == f"cannot read mock script {script}: {message}"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", list(BAD_SCRIPTS))
-    def test_cli_exits_partial(self, tmp_path, name, capsys):
-        text, kind, _ = BAD_SCRIPTS[name]
+    def test_cli_exits_config_error(self, tmp_path, name, capsys):
+        text, message = BAD_SCRIPTS[name]
         script = tmp_path / f"{name}.json"
         script.write_text(text)
+        out = tmp_path / "out"
         args = ["--agent", "dora_scheduled", "--backend", f"mock:{script}", "--runs", "2"]
-        code = main(["bandit", "run", *args, "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert f"run 1 failed ({kind})" in capsys.readouterr().out
+        assert main(["bandit", "run", *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: cannot read mock script {script}: {message}\n"
+        assert not out.exists()
+
+    def test_classical_suite_ignores_the_script(self, tmp_path):
+        script = tmp_path / "not_json.json"
+        script.write_text(BAD_SCRIPTS["not_json"][0])
+        out = tmp_path / "out"
+        args = ["--agent", "ucb", "--backend", f"mock:{script}", "--runs", "2", "--out", str(out)]
+        assert main(["bandit", "run", *args]) == 0
+        assert json.loads((out / "summary.json").read_text())["completed"] == 2
+
+    def test_pooled_suite_reads_the_script_once_in_the_calling_process(
+        self, tmp_path, monkeypatch
+    ):
+        # Forked workers append to the same log, so a read in any of them shows.
+        log = tmp_path / "reads.log"
+        from_file = harness.MockPolicy.from_file
+
+        def logged(path):
+            with open(log, "a", encoding="utf-8") as fp:
+                fp.write(f"{os.getpid()}\n")
+            return from_file(path)
+
+        monkeypatch.setattr(harness.MockPolicy, "from_file", logged)
+        config = demo_config("bandit_dora_mock.json", 6, tmp_path / "out")
+        config.workers, config.horizon = 2, 5
+        assert len(run_suite(config).metrics) == 6
+        assert log.read_text() == f"{os.getpid()}\n"
+
+
+class TestBadWorldFile:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"rooms": {}', "Expecting ',' delimiter: line 1 column 13 (char 12)"),
+            ("[]", "world definition must be a JSON object"),
+            ('{"start": "hall", "goal": "vault"}', "world definition missing 'rooms'"),
+        ],
+    )
+    def test_is_a_config_error_before_any_run(self, tmp_path, capsys, text, message):
+        world = tmp_path / "world.json"
+        world.write_text(text)
+        out = tmp_path / "out"
+        config = json.loads((CONFIGS / "keymaze_dora_mock.json").read_text(encoding="utf-8"))
+        config["backend"] = "mock:" + str(CONFIGS / config["backend"].split("/")[-1])
+        config.update(world=str(world), runs=2, output_dir=str(out))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["keymaze", "run", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: cannot read world {world}: {message}\n"
+        assert not out.exists()
 
 
 # Scripts that parse but serve no reply of the kind the agent asks on every step.
@@ -2214,12 +2293,14 @@ class TestCli:
     def test_rerun_whose_every_run_fails_leaves_no_earlier_output(self, tmp_path):
         runs = tmp_path / "runs"
         run_suite(demo_config("bandit_dora_mock.json", 2, runs))
-        bad = tmp_path / "bad.json"
-        bad.write_text(BAD_SCRIPTS["unknown_kind"][0])
+        bad = tmp_path / "bad.json"  # its one candidate list runs out on the second step
+        bad.write_text(json.dumps({"entries": [MODE, MODE, {"kind": "candidates", "text": "x"}]}))
         command = ["bandit", "run", "--config", str(CONFIGS / "bandit_dora_mock.json"),
                    "--backend", f"mock:{bad}", "--runs", "2", "--out", str(runs)]
         assert main(command) == 3
-        assert json.loads((runs / "summary.json").read_text())["completed"] == 0
+        summary = json.loads((runs / "summary.json").read_text())
+        assert summary["completed"] == 0
+        assert {failure["kind"] for failure in summary["failures"]} == {"ScriptExhaustedError"}
         assert [path.name for path in runs.iterdir()] == ["summary.json"]
         assert main(["report", "--in", str(runs), "--out", str(tmp_path / "tables")]) == 1
 
