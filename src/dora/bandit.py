@@ -31,11 +31,10 @@ from .textenv import EnvError, TextEnvStep
 
 INVALID_PULL = -1
 
+_COLOR = "|".join(ARM_COLORS)
 # Bit-exact apart from the color's case and surrounding whitespace.
-_ANSWER_RE = re.compile(
-    r"^\s*<Answer>I will press ((?i:blue|green|red|yellow|purple)) button</Answer>\s*$"
-)
-_LOOSE_PRESS_RE = re.compile(r"\bpress\s+(blue|green|red|yellow|purple)\s+button\b", re.IGNORECASE)
+_ANSWER_RE = re.compile(rf"^\s*<Answer>I will press ((?i:{_COLOR})) button</Answer>\s*$")
+_LOOSE_PRESS_RE = re.compile(rf"\bpress\s+({_COLOR})\s+button\b", re.IGNORECASE)
 
 
 @dataclass(frozen=True)

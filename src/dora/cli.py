@@ -16,7 +16,6 @@ import argparse
 import sys
 
 from .harness import ConfigError, ExperimentConfig, ReportError, report, run_suite
-from .policy import BackendError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -102,9 +101,6 @@ def main(argv: list[str] | None = None) -> int:
     except ReportError as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BackendError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ reproducible from (config, master_seed).
 from __future__ import annotations
 
 import contextlib
+import copy
 import errno
 import functools
 import json
@@ -33,7 +34,6 @@ from .agent import (
     temperature_step,
 )
 from .bandit import (
-    ARM_COLORS,
     INVALID_PULL,
     BanditEnv,
     BanditInstance,
@@ -53,6 +53,7 @@ from .lambda_control import MAX_GROWTH_K, LambdaSchedule, PolicySampledLambda, S
 from .policy import (
     BackendError, MockPolicy, MockScriptError, Mode, PromptKind, RemotePolicy, first_action,
 )
+from .prompts import ARM_COLORS
 from .textenv import KeyMazeWorld, loop_stats
 
 SCHEMA_VERSION = 1
@@ -158,16 +159,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        merged = {**data, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+        unknown = set(merged) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = dict(data)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                if key not in known:
-                    raise ConfigError(f"unknown config override: {key}")
-                merged[key] = value
         config = cls(**merged)
         config.validate()
         return config
@@ -184,6 +179,7 @@ class ExperimentConfig:
         return cls.from_dict(data, overrides)
 
     def validate(self) -> None:
+        """Raise :class:`ConfigError` unless every value fits; opens no file."""
         for name, types, check, requirement in _FIELD_RULES:
             value = getattr(self, name)
             if value is None and _NONE in types:
@@ -203,22 +199,24 @@ class ExperimentConfig:
             )
         if self.agent in BACKEND_AGENTS and not self.backend:
             raise ConfigError(f"agent {self.agent!r} needs --backend mock:<script.json> or remote")
-        if self.backend and self.backend.startswith("mock:"):
-            script = self.backend.split(":", 1)[1]
-            if not Path(script).is_file():
-                raise ConfigError(f"mock script not found: {script}")
-        if self.world is not None:
-            try:
-                KeyMazeWorld.from_file(self.world)
-            except (OSError, ValueError, RecursionError) as exc:
-                raise ConfigError(f"cannot read world {self.world}: {exc}") from exc
+
+    def keymaze_world(self) -> KeyMazeWorld:
+        """The world each run of a KeyMaze suite plays a copy of, set up once before
+        any run; a ``world`` file that cannot be read or checked is a :class:`ConfigError`."""
+        if self.world is None:
+            return KeyMazeWorld()
+        try:
+            return KeyMazeWorld.from_file(self.world)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot read world {self.world}: {exc}") from exc
 
     def backend_factory(self):
-        """What each run takes a fresh backend from, or None for classical agents.
+        """What each run takes a fresh backend from, or None for classical agents,
+        which take no backend and so never read the script they are given.
 
         Set up once, before any run: a remote endpoint that is not configured,
-        or a mock script that cannot be read, has the wrong shape or cannot
-        serve the agent, is a :class:`ConfigError`."""
+        or a mock script that is missing or cannot be read, has the wrong shape
+        or cannot serve the agent, is a :class:`ConfigError`."""
         if self.agent in CLASSICAL_AGENTS:
             return None
         if self.backend == "remote":
@@ -475,9 +473,9 @@ def _run_bandit_one(config: ExperimentConfig, backend_factory, run_index: int):
     return _run_file(config, run_index, seed, head, step_text, tail)
 
 
-def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int):
+def _run_keymaze_one(config: ExperimentConfig, backend_factory, run_index: int, *, world):
     seed = config.master_seed + run_index
-    world = KeyMazeWorld.from_file(config.world) if config.world else KeyMazeWorld()
+    world = copy.copy(world)  # reset rebuilds every per-episode field; the definition is shared
     max_steps = config.max_steps or world.horizon
     episode = _run_backend_agent(config, backend_factory, world, max_steps, seed)
 
@@ -574,21 +572,27 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     at the number of runs. numpy's OpenBLAS leaves a second OS thread after
     import, so Python 3.12 and later raise a DeprecationWarning at the fork.
 
-    Each run writes its JSONL file as soon as it ends, so only the metrics
-    of finished runs stay in memory; an error writing the file escapes, but
-    a backend that :meth:`ExperimentConfig.backend_factory` refuses, or an
-    ``output_dir`` that cannot be made a directory, is a :class:`ConfigError`
-    before any run starts; a run that fails is recorded. Before the first run,
-    the agent's run files and the aggregate and plot CSVs that an earlier
-    suite left in ``output_dir`` are removed (regular files only), so
-    ``report`` never reads them with this suite's. The aggregate CSV, the
-    plot CSVs and summary.json are written after the last run, all or
-    nothing (:func:`_write_tables`), from the metrics in run order. Repeated
-    invocations with the same config and master seed therefore produce
-    identical bytes for mock and classical agents, whatever the worker count.
+    Every input is read once, in the calling process before ``output_dir`` is
+    made: the backend by :meth:`ExperimentConfig.backend_factory` and a
+    KeyMaze world by :meth:`ExperimentConfig.keymaze_world`, whose copy each
+    run plays, so no run opens an input file. A backend or world they refuse,
+    or an ``output_dir`` that cannot be made a directory, is a
+    :class:`ConfigError` before any run starts. Each run writes its JSONL file
+    as soon as it ends, so only the metrics of finished runs stay in memory;
+    an error writing the file escapes, and a run that fails is recorded.
+    Before the first run, the agent's run files and the aggregate and plot
+    CSVs that an earlier suite left in ``output_dir`` are removed (regular
+    files only), so ``report`` never reads them with this suite's. The
+    aggregate CSV, the plot CSVs and summary.json are written after the last
+    run, all or nothing (:func:`_write_tables`), from the metrics in run
+    order. Repeated invocations with the same config and master seed
+    therefore produce identical bytes for mock and classical agents,
+    whatever the worker count.
     """
     config.validate()
     backend_factory = config.backend_factory()
+    runner = _run_bandit_one if config.suite == "bandit" else functools.partial(
+        _run_keymaze_one, world=config.keymaze_world())
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -598,8 +602,6 @@ def run_suite(config: ExperimentConfig) -> RunArtifacts:
     for stale in [*out.glob(f"{config.agent}_run*.jsonl"), *map(out.joinpath, tables)]:
         if stale.is_file():
             stale.unlink()
-
-    runner = _run_bandit_one if config.suite == "bandit" else _run_keymaze_one
 
     def one(i: int):
         try:

@@ -75,7 +75,9 @@ class KeyMazeWorld:
     @staticmethod
     def _check_definition(d: dict) -> None:
         """Raise ValueError unless ``d`` is an object with ``rooms``, a ``start``
-        room among them and a ``goal``, whose reward events sum to 0 or 1."""
+        room among them and a ``goal``, whose reward events sum to 0 or 1, and
+        holds every other part in the shape the game reads it: rooms, exits,
+        objects and doors name only defined rooms."""
         if not isinstance(d, dict):
             raise ValueError("world definition must be a JSON object")
         for field in ("rooms", "start", "goal"):
@@ -83,8 +85,42 @@ class KeyMazeWorld:
                 raise ValueError(f"world definition missing {field!r}")
         if not isinstance(d["rooms"], dict) or type(d["start"]) is not str:
             raise ValueError("world rooms must be an object and start a room name")
-        if d["start"] not in d["rooms"]:
+        rooms = d["rooms"]
+        if d["start"] not in rooms:
             raise ValueError(f"start room {d['start']!r} not defined")
+        horizon = d.get("horizon", 100)
+        if type(horizon) is not int or horizon < 1:
+            raise ValueError(f"world horizon must be an integer >= 1, got {horizon!r}")
+
+        def defined(room) -> bool:
+            return type(room) is str and room in rooms
+
+        for name, room in rooms.items():
+            if not isinstance(room, dict) or type(room.get("description")) is not str:
+                raise ValueError(f"room {name!r} must be an object with a string description")
+            exits = room.get("exits", {})
+            if not isinstance(exits, dict) or not all(map(defined, exits.values())):
+                raise ValueError(f"exits of room {name!r} must map directions to defined rooms")
+        objects = d.get("objects", {})
+        if not isinstance(objects, dict) or not all(isinstance(o, dict) for o in objects.values()):
+            raise ValueError("world objects must be an object of objects")
+        for name, spec in objects.items():
+            if spec.get("room") is not None and not defined(spec["room"]):
+                raise ValueError(f"object {name!r} must be in a defined room or null")
+            contains = spec.get("contains", [])
+            if not isinstance(contains, list) or not all(type(c) is str for c in contains):
+                raise ValueError(f"object {name!r} contains must be a list of names")
+        doors = d.get("doors", [])
+        if not isinstance(doors, list) or not all(
+            isinstance(door, dict) and defined(door.get("room"))
+            and type(door.get("direction")) is str
+            and isinstance(door.get("key"), (str, type(None)))
+            for door in doors
+        ):
+            raise ValueError(
+                "world doors must be a list of objects, each with a defined room, "
+                "a string direction and a string or null key"
+            )
         rewards = d.get("rewards", {})
         if not isinstance(rewards, dict) or not all(
             type(v) in (int, float) for v in rewards.values()
@@ -96,7 +132,7 @@ class KeyMazeWorld:
 
     @property
     def horizon(self) -> int:
-        return int(self._def.get("horizon", 100))
+        return self._def.get("horizon", 100)
 
     def reset(self, seed: int | None = None) -> str:
         """Start a fresh episode and return the first observation (seed is unused:

@@ -30,7 +30,7 @@ from dora.policy import (
     PromptKind,
     ScriptEntry,
 )
-from dora.textenv import NOTHING_HAPPENS, KeyMazeWorld
+from dora.textenv import NOTHING_HAPPENS, EnvError, KeyMazeWorld
 
 OBS = "you are in a room"
 FLAT_LAMBDA = ScheduledLambda(LambdaSchedule(0.0, 0.0, k=5.0, horizon=100))
@@ -585,6 +585,22 @@ class TestTemperatureStep:
         step = temperature_step(backend, self.PARAMS, self.tau)
         with pytest.raises(BackendError, match="^backend failed on all 3 steps: synthetic"):
             drive_episode(backend, KeyMazeWorld(), step, 3)
+
+    def test_env_error_ends_the_episode_partial(self):
+        class FailsAtStep(KeyMazeWorld):
+            calls = 0
+
+            def step(self, action_text):
+                self.calls += 1
+                if self.calls == 4:
+                    raise EnvError("stepped outside the contract")
+                return super().step(action_text)
+
+        mock = MockPolicy([ScriptEntry.greedy("look")], loop=True)
+        step = temperature_step(mock, self.PARAMS, self.tau)
+        log = drive_episode(mock, FailsAtStep(), step, 10, seed=3)
+        assert (log.num_steps, len(log.rewards), len(log.observations)) == (4, 3, 4)
+        assert log.partial and not log.terminal
 
 
 def make_params_for_bandit() -> DoraParams:

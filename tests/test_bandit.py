@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from dora import bandit, harness, prompts
 from dora.agent import DoraParams, drive_episode, temperature_step
 from dora.bandit import (
     ARM_COLORS,
@@ -325,6 +328,18 @@ class TestAnswerEnvelope:
     def test_press_action_round_trip(self):
         for arm in range(5):
             assert arm_from_action(press_action(arm)) == arm
+
+    def test_patterns_are_built_from_the_one_list_of_colors(self):
+        # The alternations spelled out by hand before they were built from ARM_COLORS.
+        assert bandit._ANSWER_RE.pattern == (
+            r"^\s*<Answer>I will press ((?i:blue|green|red|yellow|purple)) button</Answer>\s*$"
+        )
+        assert bandit._ANSWER_RE.flags == re.compile("").flags
+        assert bandit._LOOSE_PRESS_RE.pattern == (
+            r"\bpress\s+(blue|green|red|yellow|purple)\s+button\b"
+        )
+        assert bandit._LOOSE_PRESS_RE.flags == re.compile("", re.IGNORECASE).flags
+        assert ARM_COLORS is harness.ARM_COLORS is prompts.ARM_COLORS
 
 
 class FailingOnce(MockPolicy):

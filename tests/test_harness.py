@@ -38,6 +38,7 @@ from dora.agent import FallbackReason, ScoredCandidate, StepRecord
 from dora.bandit import INVALID_PULL, decaying_temperature
 from dora.lambda_control import MAX_GROWTH_K
 from dora.policy import Mode, PolicyRequest, PromptKind
+from dora.textenv import EnvError, default_world_definition
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 SRC = Path(harness.__file__).resolve().parents[1]
@@ -103,6 +104,8 @@ class TestExperimentConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"bogus": 1})
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['bogus', 'extra'\]$"):
+            ExperimentConfig.from_dict({"extra": 1}, {"bogus": 2, "ignored": None})
 
     def test_flag_overrides_file_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -125,9 +128,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"agent": "dora_scheduled"})
 
-    def test_missing_mock_script_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"agent": "dora_auto", "backend": "mock:/nope.json"})
+    def test_missing_mock_script_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        config = ExperimentConfig.from_dict(
+            {"agent": "dora_auto", "backend": "mock:/nope.json", "output_dir": str(out)}
+        )
+        with pytest.raises(ConfigError, match="^cannot read mock script /nope.json: "):
+            run_suite(config)
+        assert not out.exists()
+
+    def test_validate_opens_no_file(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate opened a file")
+
+        config = ExperimentConfig(
+            suite="keymaze", agent="dora_auto", backend="mock:/nope.json", world="/nope.json"
+        )
+        monkeypatch.setattr("builtins.open", refuse)
+        monkeypatch.setattr(Path, "is_file", refuse)
+        config.validate()
 
     def test_remote_without_env_vars_rejected(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DORA_API_BASE", raising=False)
@@ -651,9 +670,11 @@ class TestBadMockScript:
         assert captured.err == f"config error: cannot read mock script {script}: {message}\n"
         assert not out.exists()
 
-    def test_classical_suite_ignores_the_script(self, tmp_path):
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_classical_suite_ignores_the_script(self, tmp_path, exists):
         script = tmp_path / "not_json.json"
-        script.write_text(BAD_SCRIPTS["not_json"][0])
+        if exists:
+            script.write_text(BAD_SCRIPTS["not_json"][0])
         out = tmp_path / "out"
         args = ["--agent", "ucb", "--backend", f"mock:{script}", "--runs", "2", "--out", str(out)]
         assert main(["bandit", "run", *args]) == 0
@@ -678,6 +699,61 @@ class TestBadMockScript:
         assert log.read_text() == f"{os.getpid()}\n"
 
 
+def edited_world(edit) -> str:
+    """The shipped world's JSON text after ``edit`` changes its definition in place."""
+    definition = default_world_definition()
+    edit(definition)
+    return json.dumps(definition)
+
+
+ROOM_MESSAGE = "room 'storage_room' must be an object with a string description"
+EXITS_MESSAGE = "exits of room 'entry_hall' must map directions to defined rooms"
+OBJECTS_MESSAGE = "world objects must be an object of objects"
+CONTAINS_MESSAGE = "object 'chest' contains must be a list of names"
+DOORS_MESSAGE = (
+    "world doors must be a list of objects, each with a defined room, "
+    "a string direction and a string or null key"
+)
+# World files that parse but that no run could play: (text, message).
+BAD_WORLDS = {
+    "horizon_text": (edited_world(lambda d: d.update(horizon="x")),
+                     "world horizon must be an integer >= 1, got 'x'"),
+    "horizon_zero": (edited_world(lambda d: d.update(horizon=0)),
+                     "world horizon must be an integer >= 1, got 0"),
+    "horizon_bool": (edited_world(lambda d: d.update(horizon=True)),
+                     "world horizon must be an integer >= 1, got True"),
+    "room_number": (edited_world(lambda d: d["rooms"].update(storage_room=7)), ROOM_MESSAGE),
+    "room_without_description": (
+        edited_world(lambda d: d["rooms"]["storage_room"].pop("description")), ROOM_MESSAGE),
+    "room_description_number": (
+        edited_world(lambda d: d["rooms"]["storage_room"].update(description=1)), ROOM_MESSAGE),
+    "exits_list": (edited_world(lambda d: d["rooms"]["entry_hall"].update(exits=["north"])),
+                   EXITS_MESSAGE),
+    "exit_to_undefined_room": (
+        edited_world(lambda d: d["rooms"]["entry_hall"]["exits"].update(north="attic")),
+        EXITS_MESSAGE),
+    "exit_to_list": (
+        edited_world(lambda d: d["rooms"]["entry_hall"]["exits"].update(north=["attic"])),
+        EXITS_MESSAGE),
+    "objects_list": (edited_world(lambda d: d.update(objects=[])), OBJECTS_MESSAGE),
+    "object_number": (edited_world(lambda d: d["objects"].update(chest=1)), OBJECTS_MESSAGE),
+    "object_in_undefined_room": (
+        edited_world(lambda d: d["objects"]["chest"].update(room="attic")),
+        "object 'chest' must be in a defined room or null"),
+    "contains_text": (edited_world(lambda d: d["objects"]["chest"].update(contains="key")),
+                      CONTAINS_MESSAGE),
+    "contains_number": (edited_world(lambda d: d["objects"]["chest"].update(contains=[1])),
+                        CONTAINS_MESSAGE),
+    "doors_object": (edited_world(lambda d: d.update(doors={})), DOORS_MESSAGE),
+    "door_number": (edited_world(lambda d: d.update(doors=[1])), DOORS_MESSAGE),
+    "door_without_direction": (edited_world(lambda d: d["doors"][0].pop("direction")),
+                               DOORS_MESSAGE),
+    "door_in_undefined_room": (edited_world(lambda d: d["doors"][0].update(room="attic")),
+                               DOORS_MESSAGE),
+    "door_key_list": (edited_world(lambda d: d["doors"][0].update(key=["key"])), DOORS_MESSAGE),
+}
+
+
 class TestBadWorldFile:
     @pytest.mark.parametrize(
         "text,message",
@@ -685,6 +761,7 @@ class TestBadWorldFile:
             ('{"rooms": {}', "Expecting ',' delimiter: line 1 column 13 (char 12)"),
             ("[]", "world definition must be a JSON object"),
             ('{"start": "hall", "goal": "vault"}', "world definition missing 'rooms'"),
+            *(pytest.param(*BAD_WORLDS[name], id=name) for name in BAD_WORLDS),
         ],
     )
     def test_is_a_config_error_before_any_run(self, tmp_path, capsys, text, message):
@@ -700,6 +777,80 @@ class TestBadWorldFile:
         captured = capsys.readouterr()
         assert captured.err == f"config error: cannot read world {world}: {message}\n"
         assert not out.exists()
+
+
+class TestWorldSetUp:
+    def test_suite_opens_its_world_once_in_the_calling_process(self, tmp_path, monkeypatch):
+        # Forked workers append to the same log, so an open in any of them shows.
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps(default_world_definition()))
+        log = tmp_path / "opens.log"
+        real_open = open
+
+        def logged(file, *args, **kwargs):
+            if str(file) == str(world):
+                with real_open(log, "a", encoding="utf-8") as fp:
+                    fp.write(f"{os.getpid()}\n")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", logged)
+        fields = {"max_steps": 6, "workers": 2}
+        config = demo_config("keymaze_dora_mock.json", 3, tmp_path / "out", world=str(world),
+                             **fields)
+        artifacts = run_suite(config)
+        assert log.read_text() == f"{os.getpid()}\n"
+        shipped = demo_config("keymaze_dora_mock.json", 3, tmp_path / "shipped", **fields)
+        shipped = run_suite(shipped)
+        assert len(artifacts.metrics) == 3
+        assert suite_files(artifacts) == suite_files(shipped)
+
+    def test_each_run_plays_its_own_copy(self, tmp_path, monkeypatch):
+        set_up, played = [], []
+        keymaze_world, reset = ExperimentConfig.keymaze_world, harness.KeyMazeWorld.reset
+
+        def recorded_world(config):
+            set_up.append(keymaze_world(config))
+            return set_up[-1]
+
+        def recorded_reset(world, seed=None):
+            played.append(world)
+            return reset(world, seed)
+
+        monkeypatch.setattr(ExperimentConfig, "keymaze_world", recorded_world)
+        monkeypatch.setattr(harness.KeyMazeWorld, "reset", recorded_reset)
+        config = demo_config("keymaze_dora_mock.json", 3, tmp_path / "out", max_steps=4, workers=1)
+        assert len(run_suite(config).metrics) == 3
+        [world] = set_up
+        assert len({id(w) for w in [world, *played]}) == 4
+        assert all(w._def is world._def for w in played)
+        assert not world._started
+
+    def test_bandit_suite_reads_no_world(self, tmp_path):
+        config = ExperimentConfig.from_dict(
+            {"agent": "ucb", "runs": 2, "world": str(tmp_path / "missing.json"),
+             "output_dir": str(tmp_path / "out")}
+        )
+        assert len(run_suite(config).metrics) == 2
+
+    def test_env_error_ends_the_run_partial(self, tmp_path, monkeypatch):
+        step, calls = harness.KeyMazeWorld.step, []
+
+        def failing(world, action_text):
+            calls.append(action_text)
+            if len(calls) == 4:
+                raise EnvError("stepped outside the contract")
+            return step(world, action_text)
+
+        monkeypatch.setattr(harness.KeyMazeWorld, "step", failing)
+        config = demo_config("keymaze_dora_mock.json", 1, tmp_path / "out", workers=1)
+        artifacts = run_suite(config)
+        assert not artifacts.failures
+        lines = run_files(artifacts)[0].read_text().splitlines()
+        assert len(lines) == 6
+        assert all(f in lines[-1] for f in ('"partial":true', '"steps":4', '"terminal":false'))
+        fourth = json.loads(lines[4])
+        assert (fourth["kind"], fourth["step"], fourth["reward"]) == ("step", 3, 0.0)
+        assert report(artifacts.output_dir, tmp_path / "tables")
 
 
 # Scripts that parse but serve no reply of the kind the agent asks on every step.
@@ -1459,11 +1610,12 @@ class TestStepLineTemplate:
         return TestStepLineTemplate.edit_first_run(tmp_path, edit)
 
 
-def demo_config(name: str, runs: int, out: Path) -> ExperimentConfig:
-    """A demo config with its mock script found from any working directory."""
+def demo_config(name: str, runs: int, out: Path, **fields) -> ExperimentConfig:
+    """A demo config with its mock script found from any working directory,
+    and ``fields`` set over it."""
     data = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
     data["backend"] = "mock:" + str(CONFIGS / data["backend"].split("/")[-1])
-    data.update(runs=runs, output_dir=str(out))
+    data.update(runs=runs, output_dir=str(out), **fields)
     return ExperimentConfig.from_dict(data)
 
 
